@@ -110,27 +110,37 @@ let unop_interval op ((lo, hi) : interval) : interval =
 (* Per-instruction transfer                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The mutable per-block state is stored as a flat native-int array
-   ([lo] at [2r], [hi] at [2r+1]): every bound is within the int32 range,
-   which fits OCaml's immediate ints, so states copy with [Array.blit]
-   and allocate nothing per element — the ascending/narrowing phases copy
-   states on every edge and this representation is what keeps the
-   analysis' share of compile time JIT-plausible (Table 3). *)
+(* A state is a flat native-int array over the tracked ([I32]) registers
+   only: [slot.(r)] is register [r]'s index among them ([-1] when
+   untracked), with [lo] at [2s] and [hi] at [2s+1]. Every bound is within
+   the int32 range, which fits OCaml's immediate ints, so states compare
+   and copy element-wise without boxing. {!compute} preallocates one entry
+   and one exit state per block plus two scratch states, and updates them
+   in place: a fixpoint allocates no state per block evaluation, which is
+   what keeps the analysis' share of compile time JIT-plausible
+   (Table 3). *)
 type state = int array
 
-let sget (st : state) r : interval = (Int64.of_int st.(2 * r), Int64.of_int st.((2 * r) + 1))
+let sget (st : state) s : interval = (Int64.of_int st.(2 * s), Int64.of_int st.((2 * s) + 1))
 
-let sset (st : state) r ((lo, hi) : interval) =
-  st.(2 * r) <- Int64.to_int lo;
-  st.((2 * r) + 1) <- Int64.to_int hi
+let sset (st : state) s ((lo, hi) : interval) =
+  st.(2 * s) <- Int64.to_int lo;
+  st.((2 * s) + 1) <- Int64.to_int hi
 
-let state_make nregs : state =
-  let st = Array.make (2 * nregs) 0 in
-  for r = 0 to nregs - 1 do
-    st.(2 * r) <- Int64.to_int i32_min;
-    st.((2 * r) + 1) <- Int64.to_int i32_max
-  done;
-  st
+let lo_min = Int64.to_int i32_min
+let hi_max = Int64.to_int i32_max
+
+let state_top width : state = Array.init width (fun k -> if k land 1 = 0 then lo_min else hi_max)
+
+(* Even state indices hold lower bounds, odd ones upper bounds: does
+   bound [n] lie outside bound [p] at index [k]? (Typed [int] so the
+   comparisons compile native, not polymorphic.) *)
+let escapes k (p : int) (n : int) = if k land 1 = 0 then n < p else n > p
+
+let copy_into (src : state) (dst : state) =
+  for k = 0 to Array.length src - 1 do
+    dst.(k) <- src.(k)
+  done
 
 (** Largest possible valid index: length <= 0x7fffffff, index < length. *)
 let max_index = Int64.sub i32_max 1L
@@ -141,13 +151,13 @@ let narrow_to bound iv = if fst iv >= fst bound && snd iv <= snd bound then iv e
     [I32] return-value interval, when one is known ({!Summary}). Absent
     (the default), call results are [top] — the intraprocedural reading
     every existing client keeps. *)
-let transfer ?call_ranges ~(tracked : bool array) (st : state) (i : Instr.t) =
-  let set r iv = if tracked.(r) then sset st r iv in
-  let get r = if tracked.(r) then sget st r else top in
+let transfer ?call_ranges ~(slot : int array) (st : state) (i : Instr.t) =
+  let set r iv = if slot.(r) >= 0 then sset st slot.(r) iv in
+  let get r = if slot.(r) >= 0 then sget st slot.(r) else top in
   match i.op with
   | Const { dst; ty = I32; v; _ } -> set dst (v, v)
   | Const _ | FConst _ -> ()
-  | Mov { dst; src; ty = I32 } -> set dst (if tracked.(src) then get src else top)
+  | Mov { dst; src; ty = I32 } -> set dst (get src)
   | Mov _ -> ()
   | Unop { dst; op; src; w = W32 } -> set dst (unop_interval op (get src))
   | Unop _ -> ()
@@ -208,22 +218,22 @@ let refine1 ((xlo, xhi) : interval) cond ((ylo, yhi) : interval) : interval =
   | Gt -> if ylo < i32_max then meet (xlo, xhi) (add ylo 1L, i32_max) else (xlo, xhi)
   | Ge -> meet (xlo, xhi) (ylo, i32_max)
 
-(** [refine_for_edge ~tracked st term succ] is a copy of [st] improved with
-    the facts the branch guarantees on the edge to [succ]. *)
-let refine_for_edge ~(tracked : bool array) (st : state) term succ =
+(** [refine_for_edge ~slot ~scratch st term succ] is [st] improved with
+    the facts the branch guarantees on the edge to [succ]: [st] itself
+    when the branch teaches nothing, else [scratch] overwritten with the
+    refined copy. *)
+let refine_for_edge ~(slot : int array) ~(scratch : state) (st : state) term succ =
   match term with
-  | Instr.Br { cond; l; r; w = W32; ifso; ifnot } when tracked.(l) && tracked.(r) ->
-      let st' = Array.copy st in
-      let apply c =
-        sset st' l (refine1 (sget st' l) c (sget st r));
-        sset st' r (refine1 (sget st' r) (Types.swap_cond c) (sget st l))
-      in
-      (* A taken-and-fallthrough pair to the same block teaches nothing. *)
-      if ifso = ifnot then st'
-      else begin
-        if succ = ifso then apply cond else apply (Types.negate_cond cond);
-        st'
-      end
+  (* A taken-and-fallthrough pair to the same block teaches nothing. *)
+  | Instr.Br { cond; l; r; w = W32; ifso; ifnot }
+    when ifso <> ifnot && slot.(l) >= 0 && slot.(r) >= 0 ->
+      copy_into st scratch;
+      let c = if succ = ifso then cond else Types.negate_cond cond in
+      let sl = slot.(l) and sr = slot.(r) in
+      (* both read the unrefined [st]; when [l = r] the second sees the first *)
+      sset scratch sl (refine1 (sget scratch sl) c (sget st sr));
+      sset scratch sr (refine1 (sget scratch sr) (Types.swap_cond c) (sget st sl));
+      scratch
   | _ -> st
 
 (* ------------------------------------------------------------------ *)
@@ -233,7 +243,7 @@ let refine_for_edge ~(tracked : bool array) (st : state) term succ =
 type t = {
   func : Cfg.func;
   entry_states : state array;
-  tracked : bool array;
+  slot : int array;
   call_ranges : (string -> interval option) option;
       (** kept so {!before}/{!after} replays see the same call facts the
           fixpoint did *)
@@ -245,7 +255,7 @@ let widen_threshold = 3
     program constant (plus a few standard marks) instead of straight to
     infinity — loop bounds like [i < n] survive the ascending phase this
     way, where a plain widen-then-narrow cannot recover them through the
-    header join. *)
+    header join. Sorted and duplicate-free, as native ints. *)
 let collect_thresholds (f : Cfg.func) =
   let acc = ref [ -1L; 0L; 1L; 255L; 65535L; i32_min; i32_max ] in
   Cfg.iter_instrs
@@ -255,34 +265,31 @@ let collect_thresholds (f : Cfg.func) =
           acc := v :: Int64.add v 1L :: Int64.sub v 1L :: !acc
       | _ -> ())
     f;
-  let arr = Array.of_list (List.sort_uniq compare (List.filter in_i32 !acc)) in
-  arr
+  Array.of_list (List.map Int64.to_int (List.sort_uniq compare (List.filter in_i32 !acc)))
 
-let widen ~thresholds (prev : interval) (next : interval) : interval =
-  let lo =
-    if fst next < fst prev then begin
-      (* largest threshold <= next.lo *)
-      let best = ref i32_min in
-      Array.iter (fun t -> if t <= fst next && t > !best then best := t) thresholds;
-      !best
-    end
-    else fst prev
-  in
-  let hi =
-    if snd next > snd prev then begin
-      let best = ref i32_max in
-      Array.iter (fun t -> if t >= snd next && t < !best then best := t) thresholds;
-      !best
-    end
-    else snd prev
-  in
-  (lo, hi)
+(* index of the first element [>= x] of the sorted [thresholds] *)
+let first_geq (thresholds : int array) x =
+  let lo = ref 0 and hi = ref (Array.length thresholds) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if thresholds.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let threshold_floor th x = match first_geq th (x + 1) with 0 -> lo_min | i -> th.(i - 1)
+let threshold_ceil th x = let i = first_geq th x in if i = Array.length th then hi_max else th.(i)
 
 let compute ?call_ranges (f : Cfg.func) =
   let nregs = Cfg.num_regs f in
   let nblocks = Cfg.num_blocks f in
-  let tracked = Array.init nregs (fun r -> Cfg.reg_ty f r = I32) in
-  let entry_states = Array.init nblocks (fun _ -> state_make nregs) in
+  let ntracked = ref 0 in
+  let slot = Array.init nregs (fun r -> if Cfg.reg_ty f r = I32 then (incr ntracked; !ntracked - 1) else -1) in
+  let width = 2 * !ntracked in
+  let entry_states = Array.init nblocks (fun _ -> state_top width) in
+  let out_states = Array.init nblocks (fun _ -> Array.make width 0) in
+  (* [fresh] collects a block's joined edge contributions; [edge] holds
+     one refined contribution *)
+  let fresh = Array.make width 0 and edge = Array.make width 0 in
   let preds = Cfg.preds f in
   let reach = Cfg.reachable f in
   let rpo = Cfg.rpo f in
@@ -296,49 +303,44 @@ let compute ?call_ranges (f : Cfg.func) =
   if nblocks > 0 then computed.(Cfg.entry f) <- true;
   (* exit states are cached; a block's cache is dropped when its entry
      state changes *)
-  let out_cache : state option array = Array.make nblocks None in
+  let out_valid = Array.make nblocks false in
   let out_state bid =
-    match out_cache.(bid) with
-    | Some st -> st
-    | None ->
-        let st = Array.copy entry_states.(bid) in
-        List.iter (fun i -> transfer ?call_ranges ~tracked st i) (Cfg.body (Cfg.block f bid));
-        out_cache.(bid) <- Some st;
-        st
+    let st = out_states.(bid) in
+    if not out_valid.(bid) then begin
+      copy_into entry_states.(bid) st;
+      List.iter (fun i -> transfer ?call_ranges ~slot st i) (Cfg.body (Cfg.block f bid));
+      out_valid.(bid) <- true
+    end;
+    st
   in
   let set_entry bid st =
-    entry_states.(bid) <- st;
-    out_cache.(bid) <- None
+    copy_into st entry_states.(bid);
+    out_valid.(bid) <- false
   in
+  (* [fresh] := the join of the refined exits of [bid]'s computed
+     predecessors (top when there are none); every contribution is read
+     before [bid]'s own entry state is touched, self-loops included *)
   let entry_from_preds bid =
-    let ps = List.filter (fun p -> reach.(p) && computed.(p)) preds.(bid) in
-    match ps with
-    | [] -> state_make nregs
-    | _ ->
-        let contribs =
-          List.map
-            (fun p ->
-              let o = out_state p in
-              refine_for_edge ~tracked o (Cfg.term (Cfg.block f p)) bid)
-            ps
-        in
-        let acc = Array.copy (List.hd contribs) in
-        List.iter
-          (fun (c : state) ->
-            for k = 0 to nregs - 1 do
-              if c.(2 * k) < acc.(2 * k) then acc.(2 * k) <- c.(2 * k);
-              if c.((2 * k) + 1) > acc.((2 * k) + 1) then acc.((2 * k) + 1) <- c.((2 * k) + 1)
-            done)
-          (List.tl contribs);
-        acc
+    let first = ref true in
+    List.iter
+      (fun p ->
+        if reach.(p) && computed.(p) then begin
+          let c = refine_for_edge ~slot ~scratch:edge (out_state p) (Cfg.term (Cfg.block f p)) bid in
+          if !first then copy_into c fresh
+          else
+            for k = 0 to width - 1 do
+              if escapes k fresh.(k) c.(k) then fresh.(k) <- c.(k)
+            done;
+          first := false
+        end)
+      preds.(bid);
+    if !first then copy_into (state_top width) fresh
   in
+  (* [a] more precise than or equal to [b]: pointwise containment *)
   let state_le (a : state) (b : state) =
-    (* a more precise or equal to b, pointwise containment *)
-    let ok = ref true in
-    for k = 0 to nregs - 1 do
-      if a.(2 * k) < b.(2 * k) || a.((2 * k) + 1) > b.((2 * k) + 1) then ok := false
-    done;
-    !ok
+    let k = ref 0 in
+    while !k < width && not (escapes !k b.(!k) a.(!k)) do incr k done;
+    !k = width
   in
   (* ascending phase with widening *)
   let changed = ref true in
@@ -350,7 +352,7 @@ let compute ?call_ranges (f : Cfg.func) =
     List.iter
       (fun bid ->
         if reach.(bid) && bid <> Cfg.entry f then begin
-          let fresh = entry_from_preds bid in
+          entry_from_preds bid;
           if not computed.(bid) then begin
             set_entry bid fresh;
             computed.(bid) <- true;
@@ -358,24 +360,20 @@ let compute ?call_ranges (f : Cfg.func) =
           end
           else if not (state_le fresh entry_states.(bid)) then begin
             visits.(bid) <- visits.(bid) + 1;
-            let merged =
-              let cur = entry_states.(bid) in
-              let m = state_make nregs in
-              for r = 0 to nregs - 1 do
-                let combined =
-                  if visits.(bid) > (2 * widen_threshold) + 3 then
-                    (* still climbing after several threshold hops: give up
-                       and jump to full range so convergence stays linear *)
-                    widen ~thresholds:[| i32_min; i32_max |] (sget cur r) (sget fresh r)
-                  else if visits.(bid) > widen_threshold then
-                    widen ~thresholds (sget cur r) (sget fresh r)
-                  else join (sget cur r) (sget fresh r)
-                in
-                sset m r combined
-              done;
-              m
-            in
-            set_entry bid merged;
+            let cur = entry_states.(bid) and v = visits.(bid) in
+            for k = 0 to width - 1 do
+              let n = fresh.(k) in
+              if escapes k cur.(k) n then
+                cur.(k) <-
+                  (if v > (2 * widen_threshold) + 3 then
+                     (* still climbing after several threshold hops: give up
+                        and jump to full range so convergence stays linear *)
+                     if k land 1 = 0 then lo_min else hi_max
+                   else if v > widen_threshold then
+                     if k land 1 = 0 then threshold_floor thresholds n else threshold_ceil thresholds n
+                   else n)
+            done;
+            out_valid.(bid) <- false;
             changed := true
           end
         end)
@@ -385,59 +383,45 @@ let compute ?call_ranges (f : Cfg.func) =
   for _ = 1 to 2 do
     List.iter
       (fun bid ->
-        if reach.(bid) && bid <> Cfg.entry f then set_entry bid (entry_from_preds bid))
+        if reach.(bid) && bid <> Cfg.entry f then begin
+          entry_from_preds bid;
+          set_entry bid fresh
+        end)
       rpo
   done;
-  { func = f; entry_states; tracked; call_ranges }
+  { func = f; entry_states; slot; call_ranges }
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** Range of register [r] immediately before instruction [iid] in block
-    [bid]. *)
-let before t ~bid ~iid r =
-  if r >= Array.length t.tracked || not t.tracked.(r) then top
+(* [r]'s range replaying block [bid] from its entry state up to
+   instruction [iid] — stopping before it, or after it when [through] —
+   or to the end of the block when no instruction has that id *)
+let replay t ~bid ~iid ~through r =
+  let s = if r < Array.length t.slot then t.slot.(r) else -1 in
+  if s < 0 then top
   else begin
     let st = Array.copy t.entry_states.(bid) in
+    let step i = transfer ?call_ranges:t.call_ranges ~slot:t.slot st i in
     let rec go = function
-      | [] -> sget st r
+      | [] -> ()
       | (i : Instr.t) :: rest ->
-          if i.iid = iid then sget st r
-          else begin
-            transfer ?call_ranges:t.call_ranges ~tracked:t.tracked st i;
+          if i.iid <> iid then begin
+            step i;
             go rest
           end
+          else if through then step i
     in
-    go (Cfg.body (Cfg.block t.func bid))
+    go (Cfg.body (Cfg.block t.func bid));
+    sget st s
   end
 
-(** Range of the value produced by instruction [iid] (which must define a
-    tracked register), immediately after it. *)
-let after t ~bid ~iid r =
-  if r >= Array.length t.tracked || not t.tracked.(r) then top
-  else begin
-    let st = Array.copy t.entry_states.(bid) in
-    let rec go = function
-      | [] -> sget st r
-      | (i : Instr.t) :: rest ->
-          transfer ?call_ranges:t.call_ranges ~tracked:t.tracked st i;
-          if i.iid = iid then sget st r else go rest
-    in
-    go (Cfg.body (Cfg.block t.func bid))
-  end
+let before t ~bid ~iid r = replay t ~bid ~iid ~through:false r
+let after t ~bid ~iid r = replay t ~bid ~iid ~through:true r
 
-(** Range of register [r] at the end of block [bid], just before the
-    terminator — the state a [Ret] observes. *)
-let at_exit t ~bid r =
-  if r >= Array.length t.tracked || not t.tracked.(r) then top
-  else begin
-    let st = Array.copy t.entry_states.(bid) in
-    List.iter
-      (fun i -> transfer ?call_ranges:t.call_ranges ~tracked:t.tracked st i)
-      (Cfg.body (Cfg.block t.func bid));
-    sget st r
-  end
+(* instruction ids are non-negative, so [-1] replays the whole body *)
+let at_exit t ~bid r = replay t ~bid ~iid:(-1) ~through:false r
 
 (** Does [r]'s 32-bit value lie within [lo, hi] just before [iid]? *)
 let within t ~bid ~iid r ~lo ~hi =

@@ -5,7 +5,10 @@
     whatever the upper half holds). Conditional branches refine ranges on
     their out-edges; array accesses refine their index (the paper's [LS]
     predicate); loops converge by threshold widening plus narrowing.
-    Queries replay the containing block from its entry state. *)
+    Only [I32] registers are tracked, each in a slot of a native-int state;
+    [compute] updates preallocated per-block and scratch states in place,
+    allocating none per block evaluation. Queries replay the containing
+    block from its entry state. *)
 
 type interval = int64 * int64
 
@@ -42,3 +45,11 @@ val at_exit : t -> bid:int -> Sxe_ir.Instr.reg -> interval
 
 val within : t -> bid:int -> iid:int -> Sxe_ir.Instr.reg -> lo:int64 -> hi:int64 -> bool
 (** Is the register provably within [lo, hi] just before the instruction? *)
+
+(**/**)
+
+val threshold_floor : int array -> int -> int
+val threshold_ceil : int array -> int -> int
+(** Widening's threshold lookup, exposed for tests: over a sorted,
+    duplicate-free array of int32 values, the largest element [<= x] (else
+    [i32_min]) and the smallest [>= x] (else [i32_max]). *)

@@ -1,7 +1,8 @@
 (** Optimizer configuration: one value per variant measured in Tables 1-2.
 
-    The flags mirror the paper's breakdown rows exactly; {!Variants.all}
-    enumerates the eleven measured configurations. *)
+    The flags mirror the paper's breakdown rows exactly. The twelve
+    measured configurations are listed in [Experiment.default_variants]
+    and, by name, in [Compile_one.variant_names]. *)
 
 type conversion = Gen_def | Gen_use
 type elimination = Elim_none | Elim_bwd_flow | Elim_ud_du

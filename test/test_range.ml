@@ -294,6 +294,188 @@ let prop_range_sound =
             | None -> true
           end)
 
+(* ------------------------------------------------------------------ *)
+(* In-place state hazards                                              *)
+(* ------------------------------------------------------------------ *)
+
+let iv = Alcotest.(pair int64 int64)
+let first_iid f bid = (List.hd (Cfg.body (Cfg.block f bid))).Instr.iid
+
+let test_self_loop () =
+  (* h: i = i + 1; br (i < 10) h ex — the header is its own predecessor,
+     so its entry join reads the exit state computed from the entry being
+     widened *)
+  let b, _ = B.create ~name:"f" ~params:[] ~ret:I32 () in
+  let i = B.iconst b 0 in
+  let one = B.iconst b 1 and ten = B.iconst b 10 in
+  let h = B.new_block b and ex = B.new_block b in
+  B.jmp b h;
+  B.switch b h;
+  B.binop_to b Add ~dst:i i one;
+  B.br b Lt i ten ~ifso:h ~ifnot:ex;
+  B.switch b ex;
+  let probe = B.add b i one in
+  B.retv b I32 probe;
+  let f = B.func b in
+  let t = Range.compute f in
+  let inc = first_iid f h in
+  Alcotest.check iv "header entry" (0L, 9L) (Range.before t ~bid:h ~iid:inc i);
+  Alcotest.check iv "after the increment" (1L, 10L) (Range.after t ~bid:h ~iid:inc i);
+  Alcotest.check iv "loop exit" (10L, 10L) (Range.before t ~bid:ex ~iid:(first_iid f ex) i);
+  Alcotest.check iv "exit state" (11L, 11L) (Range.at_exit t ~bid:ex probe)
+
+let test_same_target_branch () =
+  (* br (x < 10) b1 b1: both edges of a taken-and-fallthrough pair reach
+     b1, which learns nothing from the compare; the predecessor table
+     folds the duplicate edge into one entry *)
+  let b, params = B.create ~name:"f" ~params:[ I32 ] ~ret:I32 () in
+  let m = B.iconst b 255 and ten = B.iconst b 10 in
+  let x = B.and_ b (List.hd params) m in
+  let b1 = B.new_block b in
+  B.br b Lt x ten ~ifso:b1 ~ifnot:b1;
+  B.switch b b1;
+  let probe = B.add b x ten in
+  B.retv b I32 probe;
+  let f = B.func b in
+  Alcotest.(check int) "duplicate edge listed once" 1
+    (List.length (List.filter (( = ) 0) (Cfg.preds f).(b1)));
+  let t = Range.compute f in
+  Alcotest.check iv "unrefined" (0L, 255L) (Range.before t ~bid:b1 ~iid:(first_iid f b1) x);
+  Alcotest.check iv "sum" (10L, 265L) (Range.at_exit t ~bid:b1 probe)
+
+let test_self_compare_branch () =
+  (* br (x < x): the right operand's refinement reads the left one's
+     already-refined interval, so order matters on the taken edge *)
+  let b, params = B.create ~name:"f" ~params:[ I32 ] ~ret:I32 () in
+  let m = B.iconst b 255 in
+  let x = B.and_ b (List.hd params) m in
+  let so = B.new_block b and nt = B.new_block b in
+  B.br b Lt x x ~ifso:so ~ifnot:nt;
+  List.iter
+    (fun blk ->
+      B.switch b blk;
+      B.retv b I32 (B.add b x m))
+    [ so; nt ];
+  let f = B.func b in
+  let t = Range.compute f in
+  Alcotest.check iv "taken edge" (1L, 254L) (Range.before t ~bid:so ~iid:(first_iid f so) x);
+  Alcotest.check iv "fallthrough edge" (0L, 255L) (Range.before t ~bid:nt ~iid:(first_iid f nt) x)
+
+let test_no_tracked_registers () =
+  (* only I64 registers, around a loop: zero-width states *)
+  let b, params = B.create ~name:"f" ~params:[ I64 ] ~ret:I64 () in
+  let n = List.hd params in
+  let i = B.lconst b 0L and one = B.lconst b 1L in
+  let h = B.new_block b and body = B.new_block b and ex = B.new_block b in
+  B.jmp b h;
+  B.switch b h;
+  B.br b ~w:W64 Lt i n ~ifso:body ~ifnot:ex;
+  B.switch b body;
+  B.binop_to b ~w:W64 Add ~dst:i i one;
+  B.jmp b h;
+  B.switch b ex;
+  B.retv b I64 i;
+  let f = B.func b in
+  let t = Range.compute f in
+  let inc = first_iid f body in
+  Alcotest.check iv "untracked before" Range.top (Range.before t ~bid:body ~iid:inc i);
+  Alcotest.check iv "untracked after" Range.top (Range.after t ~bid:body ~iid:inc i);
+  Alcotest.check iv "out-of-range register" Range.top (Range.at_exit t ~bid:ex (Cfg.num_regs f))
+
+let test_one_block () =
+  let b, params = B.create ~name:"f" ~params:[ I32 ] ~ret:I32 () in
+  let m = B.iconst b 15 in
+  let x = B.and_ b (List.hd params) m in
+  let y = B.add b x m in
+  B.retv b I32 y;
+  let f = B.func b in
+  let t = Range.compute f in
+  let def_y = List.nth (Cfg.body (Cfg.block f 0)) 2 in
+  Alcotest.check iv "before the add" Range.top (Range.before t ~bid:0 ~iid:def_y.Instr.iid y);
+  Alcotest.check iv "after the add" (15L, 30L) (Range.after t ~bid:0 ~iid:def_y.Instr.iid y);
+  Alcotest.check iv "at exit" (0L, 15L) (Range.at_exit t ~bid:0 x)
+
+let test_threshold_lookup () =
+  (* the binary search against the linear scan it replaced *)
+  let lo_min = Int64.to_int Range.i32_min and hi_max = Int64.to_int Range.i32_max in
+  let floor_ref th x = Array.fold_left (fun b t -> if t <= x && t > b then t else b) lo_min th in
+  let ceil_ref th x = Array.fold_left (fun b t -> if t >= x && t < b then t else b) hi_max th in
+  let arrays =
+    [
+      [||];
+      [| 7 |];
+      [| -5; 0; 3; 100 |];
+      [| lo_min; -1; 0; 1; 255; 65535; hi_max |];
+      [| lo_min; lo_min + 1; -2; 41; 42; 43; hi_max - 1; hi_max |];
+    ]
+  in
+  List.iter
+    (fun th ->
+      let probes =
+        [ lo_min; lo_min + 1; -1; 0; 1; hi_max - 1; hi_max ]
+        @ List.concat_map (fun t -> [ t - 1; t; t + 1 ]) (Array.to_list th)
+      in
+      List.iter
+        (fun x ->
+          if x >= lo_min && x <= hi_max then begin
+            Alcotest.(check int) (Printf.sprintf "floor %d" x) (floor_ref th x) (Range.threshold_floor th x);
+            Alcotest.(check int) (Printf.sprintf "ceil %d" x) (ceil_ref th x) (Range.threshold_ceil th x)
+          end)
+        probes)
+    arrays
+
+(* ------------------------------------------------------------------ *)
+(* Bit-identity across representation changes                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every [before]/[after] answer at every instruction and every [at_exit]
+   answer, for every register of every function of the 24 registry
+   sources (frontend output and variant [all]), analysed with the call
+   ranges certify derives — hashed, per block, in a fixed order. The
+   expected value was recorded with the dense all-register states the
+   slot-indexed in-place fixpoint replaced; an internal change to [Range]
+   must reproduce it. *)
+let answers_digest () =
+  let answers = Buffer.create 4096 and blocks = Buffer.create 4096 in
+  let add (lo, hi) =
+    Buffer.add_int64_le answers lo;
+    Buffer.add_int64_le answers hi
+  in
+  let digest_prog p =
+    let call_ranges = Summary.call_ranges (Summary.compute p) in
+    Prog.iter_funcs
+      (fun f ->
+        let t = Range.compute ~call_ranges f in
+        let nregs = Cfg.num_regs f in
+        for bid = 0 to Cfg.num_blocks f - 1 do
+          Buffer.clear answers;
+          List.iter
+            (fun (i : Instr.t) ->
+              for r = 0 to nregs - 1 do
+                add (Range.before t ~bid ~iid:i.iid r);
+                add (Range.after t ~bid ~iid:i.iid r)
+              done)
+            (Cfg.body (Cfg.block f bid));
+          for r = 0 to nregs - 1 do
+            add (Range.at_exit t ~bid r)
+          done;
+          Buffer.add_string blocks (Digest.string (Buffer.contents answers))
+        done)
+      p
+  in
+  List.iter
+    (fun (w : Sxe_workloads.Registry.t) ->
+      let p = Sxe_lang.Frontend.compile w.source in
+      digest_prog p;
+      let o = Clone.clone_prog p in
+      ignore (Sxe_core.Pass.compile (Sxe_core.Config.new_all ()) o);
+      digest_prog o)
+    (Sxe_workloads.Registry.all ~scale:1 () @ Sxe_workloads.Registry.extras ~scale:1 ());
+  Digest.to_hex (Digest.string (Buffer.contents blocks))
+
+let test_answers_digest () =
+  Alcotest.(check string) "range answers digest" "e0f1059cb23393728491ab01ac1a2996" (answers_digest ())
+
 let suite =
   [
     Alcotest.test_case "constants and arithmetic" `Quick test_const_and_arith;
@@ -306,5 +488,12 @@ let suite =
     Alcotest.test_case "W8/W16 window boundaries" `Quick test_w8_boundary_narrowing;
     Alcotest.test_case "zext window boundaries" `Quick test_zext_boundary_narrowing;
     Alcotest.test_case "negative stride loop" `Quick test_negative_stride_loop;
+    Alcotest.test_case "self-loop block" `Quick test_self_loop;
+    Alcotest.test_case "branch with one target" `Quick test_same_target_branch;
+    Alcotest.test_case "branch comparing a register to itself" `Quick test_self_compare_branch;
+    Alcotest.test_case "no tracked registers" `Quick test_no_tracked_registers;
+    Alcotest.test_case "one-block function" `Quick test_one_block;
+    Alcotest.test_case "threshold lookup" `Quick test_threshold_lookup;
+    Alcotest.test_case "answers digest over the registry" `Quick test_answers_digest;
     QCheck_alcotest.to_alcotest prop_range_sound;
   ]
