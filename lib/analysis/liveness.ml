@@ -1,7 +1,8 @@
 (** Live-variable analysis: the classic backward union bit-vector problem
-    over registers. Used by dead-store elimination (a definition whose
-    register is not live immediately after it, by an instruction with no
-    side effect, is removable) and available for diagnostics. *)
+    over registers. Used by Step 2's DCE and dead-store elimination (a
+    definition whose register is not live immediately after it, by an
+    instruction with no side effect, is removable) and by the VM's
+    precode register liveness. *)
 
 open Sxe_util
 open Sxe_ir

@@ -1,5 +1,7 @@
 (** Live-variable analysis (backward union over registers), used by
-    dead-store elimination. *)
+    Step 2's DCE and dead-store elimination ([Sxe_opt.Dce.sweep]) and by
+    the VM's per-slot register liveness. Blocks unreachable from the
+    entry are not solved: their sets stay empty. *)
 
 type t
 

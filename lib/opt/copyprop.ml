@@ -22,7 +22,7 @@ let run (f : Cfg.func) =
       in
       let invalidate d =
         Hashtbl.remove copies d;
-        Hashtbl.iter (fun k s -> if s = d then Hashtbl.remove copies k) (Hashtbl.copy copies)
+        Hashtbl.filter_map_inplace (fun _ s -> if s = d then None else Some s) copies
       in
       List.iter
         (fun (i : Instr.t) ->

@@ -1,14 +1,12 @@
-(** Dead-definition elimination via liveness.
+(** Dead-definition elimination via liveness, extensions excluded.
 
-    The DU-chain DCE in {!Dce} removes definitions no use ever reads; this
-    pass additionally removes definitions that are {e overwritten before
-    any read} (the register is not live immediately after the
-    instruction), which DU chains alone cannot see in non-SSA form —
-    typical victims are the copy chains left behind by lowering and by
-    LCM's rewrites. Side-effecting instructions are kept, and extensions
-    are left to the sign-extension passes (removing [r = extend(r)] here
-    would be semantically fine when [r] is dead, but keeping the
-    accounting in one place makes the paper's counters meaningful). *)
+    {!Dce.sweep} restricted to non-extension instructions: extensions are
+    left to the sign-extension passes (removing [r = extend(r)] here would
+    be semantically fine when [r] is dead, but keeping the accounting in
+    one place makes the paper's counters meaningful). Right after {!Dce}
+    in {!Pipeline.iterate} it is a provable no-op: DCE has already
+    removed every side-effect-free definition that is not live after
+    itself, extensions included. *)
 
 open Sxe_ir
 
@@ -18,33 +16,4 @@ let removable (i : Instr.t) =
   && not (Instr.is_justext i.Instr.op)
   && match i.Instr.op with Instr.Zext _ -> false | _ -> true
 
-let run_once (f : Cfg.func) =
-  let live = Sxe_analysis.Liveness.compute f in
-  let changed = ref false in
-  Cfg.iter_blocks
-    (fun b ->
-      let after = Sxe_analysis.Liveness.live_after_each live b.Cfg.bid in
-      let doomed =
-        List.filter_map
-          (fun (i : Instr.t) ->
-            match Instr.def i.Instr.op with
-            | Some d when removable i -> (
-                match List.assoc_opt i.Instr.iid after with
-                | Some l when not (Sxe_util.Bitset.mem l d) -> Some i.Instr.iid
-                | _ -> None)
-            | _ -> None)
-          (Cfg.body b)
-      in
-      if doomed <> [] then begin
-        changed := true;
-        List.iter (fun iid -> ignore (Cfg.remove_instr b iid)) doomed
-      end)
-    f;
-  !changed
-
-let run (f : Cfg.func) =
-  let changed = ref false in
-  while run_once f do
-    changed := true
-  done;
-  !changed
+let run = Dce.sweep ~removable

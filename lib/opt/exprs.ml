@@ -24,60 +24,67 @@ let commutative = function Add | Mul | And | Or | Xor -> true | _ -> false
 (** [of_op op] is the expression computed by [op], with its operand
     registers and an optional global symbol whose stores kill it. *)
 let of_op (op : Instr.op) : (key * Instr.reg list * string option) option =
-  let k fmt = Printf.sprintf fmt in
+  let k = String.concat ":" and i = string_of_int in
   match op with
   | Instr.Binop { op = Div | Rem; _ } -> None
   | Instr.Binop { op = bop; l; r; w; _ } ->
       let l, r = if commutative bop && r < l then (r, l) else (l, r) in
-      Some (k "b:%s:%s:%d:%d" (string_of_binop bop) (string_of_width w) l r, [ l; r ], None)
+      Some (k [ "b"; string_of_binop bop; string_of_width w; i l; i r ], [ l; r ], None)
   | Instr.Unop { op = uop; src; w; _ } ->
-      Some (k "u:%s:%s:%d" (string_of_unop uop) (string_of_width w) src, [ src ], None)
+      Some (k [ "u"; string_of_unop uop; string_of_width w; i src ], [ src ], None)
   | Instr.Cmp { cond; l; r; w; _ } ->
       let cond, l, r =
         if (cond = Eq || cond = Ne) && r < l then (cond, r, l) else (cond, l, r)
       in
-      Some (k "c:%s:%s:%d:%d" (string_of_cond cond) (string_of_width w) l r, [ l; r ], None)
-  | Instr.Sext { r; from } -> Some (k "sx:%s:%d" (string_of_width from) r, [ r ], None)
-  | Instr.Zext { r; from } -> Some (k "zx:%s:%d" (string_of_width from) r, [ r ], None)
+      Some (k [ "c"; string_of_cond cond; string_of_width w; i l; i r ], [ l; r ], None)
+  | Instr.Sext { r; from } -> Some (k [ "sx"; string_of_width from; i r ], [ r ], None)
+  | Instr.Zext { r; from } -> Some (k [ "zx"; string_of_width from; i r ], [ r ], None)
   | Instr.FBinop { op = fop; l; r; _ } ->
       let l, r = if (fop = FAdd || fop = FMul) && r < l then (r, l) else (l, r) in
-      Some (k "f:%s:%d:%d" (string_of_fbinop fop) l r, [ l; r ], None)
-  | Instr.FNeg { src; _ } -> Some (k "fn:%d" src, [ src ], None)
-  | Instr.FCmp { cond; l; r; _ } ->
-      Some (k "fc:%s:%d:%d" (string_of_cond cond) l r, [ l; r ], None)
-  | Instr.I2D { src; _ } -> Some (k "i2d:%d" src, [ src ], None)
-  | Instr.L2D { src; _ } -> Some (k "l2d:%d" src, [ src ], None)
-  | Instr.D2I { src; _ } -> Some (k "d2i:%d" src, [ src ], None)
-  | Instr.D2L { src; _ } -> Some (k "d2l:%d" src, [ src ], None)
+      Some (k [ "f"; string_of_fbinop fop; i l; i r ], [ l; r ], None)
+  | Instr.FNeg { src; _ } -> Some (k [ "fn"; i src ], [ src ], None)
+  | Instr.FCmp { cond; l; r; _ } -> Some (k [ "fc"; string_of_cond cond; i l; i r ], [ l; r ], None)
+  | Instr.I2D { src; _ } -> Some (k [ "i2d"; i src ], [ src ], None)
+  | Instr.L2D { src; _ } -> Some (k [ "l2d"; i src ], [ src ], None)
+  | Instr.D2I { src; _ } -> Some (k [ "d2i"; i src ], [ src ], None)
+  | Instr.D2L { src; _ } -> Some (k [ "d2l"; i src ], [ src ], None)
   | Instr.GLoad { sym; ty; lext; _ } ->
-      Some (k "g:%s:%s:%d" sym (string_of_ty ty) (match lext with LZero -> 0 | LSign -> 1), [], Some sym)
+      let e = match lext with LZero -> "0" | LSign -> "1" in
+      Some (k [ "g"; sym; string_of_ty ty; e ], [], Some sym)
   | _ -> None
 
-(** Does instruction [i] kill expression [(key, operands, sym)]? An
-    extension does not kill its own expression (it is idempotent: applying
-    it twice yields the same register value). *)
-let kills (i : Instr.t) ((key, operands, sym) : key * Instr.reg list * string option) =
-  let def_kills =
-    match Instr.def i.op with
-    | Some d when List.mem d operands -> (
-        (* only extensions are idempotent over their own expression; an
-           [i = i + 1] does kill add(i, 1) *)
-        match i.op with
-        | Instr.Sext _ | Instr.Zext _ -> (
-            match of_op i.op with Some (k2, _, _) when k2 = key -> false | _ -> true)
-        | _ -> true)
-    | _ -> false
+(** What an instruction kills, computed once per instruction: the register
+    it defines, the key of its own expression when it is an extension, and
+    the global memory it writes ([`All] for a call). *)
+type killer = {
+  kdef : Instr.reg option;
+  own : key option;
+  writes : [ `Nothing | `Sym of string | `All ];
+}
+
+let killer (i : Instr.t) =
+  let own =
+    match i.op with
+    | Instr.Sext _ | Instr.Zext _ -> Option.map (fun (k, _, _) -> k) (of_op i.op)
+    | _ -> None
   in
-  let mem_kills =
-    match sym with
-    | None -> false
-    | Some s -> (
-        match i.op with
-        | Instr.GStore { sym = s2; _ } -> s2 = s
-        | Instr.Call _ -> true
-        | _ -> false)
+  let writes =
+    match i.op with Instr.GStore { sym; _ } -> `Sym sym | Instr.Call _ -> `All | _ -> `Nothing
   in
-  def_kills || mem_kills
+  { kdef = Instr.def i.op; own; writes }
+
+(** Does the instruction behind [k] kill expression [(key, operands, sym)]?
+    Redefining an operand kills it — [i = i + 1] kills add(i, 1) — except
+    for an extension's own expression, which it does not kill (extensions
+    are idempotent: applying one twice yields the same register value).
+    Writing the expression's global, or any call, kills a global read. *)
+let kills (k : killer) ((key, operands, sym) : key * Instr.reg list * string option) =
+  (match k.kdef with Some d -> List.mem d operands && k.own <> Some key | None -> false)
+  ||
+  match (sym, k.writes) with
+  | Some s, `Sym s2 -> s = s2
+  | Some _, `All -> true
+  | _ -> false
 
 (** Rebuild the computation of an expression into register [dst]. The
     original occurrence's op is the template; only the destination changes.

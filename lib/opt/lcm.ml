@@ -61,6 +61,23 @@ let run (f : Cfg.func) =
     let comp = Array.init nblocks (fun _ -> Bitset.create nexpr) in
     let transp = Array.init nblocks (fun _ -> Bitset.create nexpr) in
     Array.iter Bitset.fill transp;
+    (* candidate victims of a kill: the expressions reading the defined
+       register, and the global reads (a store or a call may kill them) *)
+    let by_reg = Array.make (Cfg.num_regs f) [] and globals = ref [] in
+    Array.iteri
+      (fun e info ->
+        List.iter (fun r -> by_reg.(r) <- e :: by_reg.(r)) info.operands;
+        if info.sym <> None then globals := e :: !globals)
+      infos;
+    let iter_killed (i : Instr.t) fn =
+      let k = Exprs.killer i in
+      let check e =
+        let info = infos.(e) in
+        if Exprs.kills k (info.key, info.operands, info.sym) then fn e
+      in
+      Option.iter (fun d -> List.iter check by_reg.(d)) k.kdef;
+      if k.writes <> `Nothing then List.iter check !globals
+    in
     (* local predicates *)
     Cfg.iter_blocks
       (fun b ->
@@ -73,14 +90,10 @@ let run (f : Cfg.func) =
                 if not (Bitset.mem killed e) then Bitset.add antloc.(b.bid) e;
                 Bitset.add comp.(b.bid) e
             | None -> ());
-            Array.iteri
-              (fun e info ->
-                if Exprs.kills i (info.key, info.operands, info.sym) then begin
-                  Bitset.add killed e;
-                  Bitset.remove comp.(b.bid) e;
-                  Bitset.remove transp.(b.bid) e
-                end)
-              infos)
+            iter_killed i (fun e ->
+                Bitset.add killed e;
+                Bitset.remove comp.(b.bid) e;
+                Bitset.remove transp.(b.bid) e))
           (Cfg.body b))
       f;
     let empty = Bitset.create nexpr in
@@ -224,11 +237,7 @@ let run (f : Cfg.func) =
                       emit i
                     end)
                 | _ -> emit i);
-                Array.iteri
-                  (fun e info ->
-                    if Exprs.kills i (info.key, info.operands, info.sym) then
-                      Bitset.add killed e)
-                  infos)
+                iter_killed i (Bitset.add killed))
               (Cfg.body b);
             Cfg.set_body b (List.rev !new_body)
           end)
