@@ -17,8 +17,9 @@
     - loops converge by widening after a fixed number of visits, followed
       by narrowing passes to recover bounds such as [i < n].
 
-    Only [I32] registers are tracked. Queries replay the containing block
-    from its entry state, so per-instruction results cost no memory. *)
+    Only the [I32] registers the function mentions are tracked. Queries
+    replay the containing block from its entry state, so per-instruction
+    results cost no memory. *)
 
 open Sxe_ir
 open Types
@@ -110,8 +111,8 @@ let unop_interval op ((lo, hi) : interval) : interval =
 (* Per-instruction transfer                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A state is a flat native-int array over the tracked ([I32]) registers
-   only: [slot.(r)] is register [r]'s index among them ([-1] when
+(* A state is a flat native-int array over the tracked (mentioned [I32])
+   registers only: [slot.(r)] is register [r]'s index among them ([-1] when
    untracked), with [lo] at [2s] and [hi] at [2s+1]. Every bound is within
    the int32 range, which fits OCaml's immediate ints, so states compare
    and copy element-wise without boxing. {!compute} preallocates one entry
@@ -218,23 +219,16 @@ let refine1 ((xlo, xhi) : interval) cond ((ylo, yhi) : interval) : interval =
   | Gt -> if ylo < i32_max then meet (xlo, xhi) (add ylo 1L, i32_max) else (xlo, xhi)
   | Ge -> meet (xlo, xhi) (ylo, i32_max)
 
-(** [refine_for_edge ~slot ~scratch st term succ] is [st] improved with
-    the facts the branch guarantees on the edge to [succ]: [st] itself
-    when the branch teaches nothing, else [scratch] overwritten with the
-    refined copy. *)
-let refine_for_edge ~(slot : int array) ~(scratch : state) (st : state) term succ =
+(** The slots a branch refines on its edge to [succ] and how, when it
+    teaches anything there: [(sl, sr, c)] for [l c r] holding on that
+    edge, [l] and [r] both tracked. A taken-and-fallthrough pair to the
+    same block teaches nothing. *)
+let edge_refinement ~(slot : int array) term succ =
   match term with
-  (* A taken-and-fallthrough pair to the same block teaches nothing. *)
   | Instr.Br { cond; l; r; w = W32; ifso; ifnot }
     when ifso <> ifnot && slot.(l) >= 0 && slot.(r) >= 0 ->
-      copy_into st scratch;
-      let c = if succ = ifso then cond else Types.negate_cond cond in
-      let sl = slot.(l) and sr = slot.(r) in
-      (* both read the unrefined [st]; when [l = r] the second sees the first *)
-      sset scratch sl (refine1 (sget scratch sl) c (sget st sr));
-      sset scratch sr (refine1 (sget scratch sr) (Types.swap_cond c) (sget st sl));
-      scratch
-  | _ -> st
+      Some (slot.(l), slot.(r), if succ = ifso then cond else Types.negate_cond cond)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint                                                            *)
@@ -279,17 +273,36 @@ let first_geq (thresholds : int array) x =
 let threshold_floor th x = match first_geq th (x + 1) with 0 -> lo_min | i -> th.(i - 1)
 let threshold_ceil th x = let i = first_geq th x in if i = Array.length th then hi_max else th.(i)
 
+(* [slot.(r)] for every register of [f]: consecutive indices for the
+   [I32] registers some instruction or terminator mentions, as def or
+   use, and [-1] for the rest. A never-mentioned register is never set
+   nor refined, so its slot would hold [top] at every point, which is
+   what an untracked register answers; it would never escape either, so
+   leaving it out changes no widening schedule. *)
+let mentioned_slots (f : Cfg.func) =
+  let mentioned = Array.make (Cfg.num_regs f) false in
+  let mention r = mentioned.(r) <- true in
+  Cfg.iter_blocks
+    (fun b ->
+      List.iter
+        (fun (i : Instr.t) ->
+          Option.iter mention (Instr.def i.op);
+          List.iter mention (Instr.uses i.op))
+        (Cfg.body b);
+      List.iter mention (Instr.term_uses (Cfg.term b)))
+    f;
+  let n = ref 0 in
+  let slot = Array.mapi (fun r m -> if m && Cfg.reg_ty f r = I32 then (incr n; !n - 1) else -1) mentioned in
+  (slot, !n)
+
 let compute ?call_ranges (f : Cfg.func) =
-  let nregs = Cfg.num_regs f in
   let nblocks = Cfg.num_blocks f in
-  let ntracked = ref 0 in
-  let slot = Array.init nregs (fun r -> if Cfg.reg_ty f r = I32 then (incr ntracked; !ntracked - 1) else -1) in
-  let width = 2 * !ntracked in
+  let slot, ntracked = mentioned_slots f in
+  let width = 2 * ntracked in
   let entry_states = Array.init nblocks (fun _ -> state_top width) in
   let out_states = Array.init nblocks (fun _ -> Array.make width 0) in
-  (* [fresh] collects a block's joined edge contributions; [edge] holds
-     one refined contribution *)
-  let fresh = Array.make width 0 and edge = Array.make width 0 in
+  (* [fresh] collects a block's joined edge contributions *)
+  let fresh = Array.make width 0 in
   let preds = Cfg.preds f in
   let reach = Cfg.reachable f in
   let rpo = Cfg.rpo f in
@@ -317,30 +330,41 @@ let compute ?call_ranges (f : Cfg.func) =
     copy_into st entry_states.(bid);
     out_valid.(bid) <- false
   in
+  (* [fresh] := [st], or [fresh] joined with [st] *)
+  let join_exit ~first (st : state) =
+    if first then copy_into st fresh
+    else
+      for k = 0 to width - 1 do
+        if escapes k fresh.(k) st.(k) then fresh.(k) <- st.(k)
+      done
+  in
   (* [fresh] := the join of the refined exits of [bid]'s computed
      predecessors (top when there are none); every contribution is read
-     before [bid]'s own entry state is touched, self-loops included *)
+     before [bid]'s own entry state is touched, self-loops included. A
+     refined edge joins its unrefined exit, then redoes the (at most two)
+     refined slots from what [fresh] held before that join. *)
   let entry_from_preds bid =
     let first = ref true in
     List.iter
       (fun p ->
         if reach.(p) && computed.(p) then begin
-          let c = refine_for_edge ~slot ~scratch:edge (out_state p) (Cfg.term (Cfg.block f p)) bid in
-          if !first then copy_into c fresh
-          else
-            for k = 0 to width - 1 do
-              if escapes k fresh.(k) c.(k) then fresh.(k) <- c.(k)
-            done;
+          let st = out_state p in
+          (match edge_refinement ~slot (Cfg.term (Cfg.block f p)) bid with
+          | None -> join_exit ~first:!first st
+          | Some (sl, sr, c) ->
+              (* both read the unrefined [st]; when [l = r] the second
+                 sees the first *)
+              let vl = refine1 (sget st sl) c (sget st sr) in
+              let vr = refine1 (if sl = sr then vl else sget st sr) (Types.swap_cond c) (sget st sl) in
+              let vl = if !first then vl else join (sget fresh sl) vl in
+              let vr = if !first then vr else join (sget fresh sr) vr in
+              join_exit ~first:!first st;
+              sset fresh sl vl;
+              sset fresh sr vr);
           first := false
         end)
       preds.(bid);
     if !first then copy_into (state_top width) fresh
-  in
-  (* [a] more precise than or equal to [b]: pointwise containment *)
-  let state_le (a : state) (b : state) =
-    let k = ref 0 in
-    while !k < width && not (escapes !k b.(!k) a.(!k)) do incr k done;
-    !k = width
   in
   (* ascending phase with widening *)
   let changed = ref true in
@@ -358,12 +382,18 @@ let compute ?call_ranges (f : Cfg.func) =
             computed.(bid) <- true;
             changed := true
           end
-          else if not (state_le fresh entry_states.(bid)) then begin
-            visits.(bid) <- visits.(bid) + 1;
-            let cur = entry_states.(bid) and v = visits.(bid) in
+          else begin
+            (* a visit is counted at the first slot that escapes the
+               entry state; every escaping slot grows *)
+            let cur = entry_states.(bid) and v = ref 0 in
             for k = 0 to width - 1 do
               let n = fresh.(k) in
-              if escapes k cur.(k) n then
+              if escapes k cur.(k) n then begin
+                if !v = 0 then begin
+                  visits.(bid) <- visits.(bid) + 1;
+                  v := visits.(bid)
+                end;
+                let v = !v in
                 cur.(k) <-
                   (if v > (2 * widen_threshold) + 3 then
                      (* still climbing after several threshold hops: give up
@@ -372,9 +402,12 @@ let compute ?call_ranges (f : Cfg.func) =
                    else if v > widen_threshold then
                      if k land 1 = 0 then threshold_floor thresholds n else threshold_ceil thresholds n
                    else n)
+              end
             done;
-            out_valid.(bid) <- false;
-            changed := true
+            if !v > 0 then begin
+              out_valid.(bid) <- false;
+              changed := true
+            end
           end
         end)
       rpo

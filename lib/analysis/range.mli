@@ -5,10 +5,16 @@
     whatever the upper half holds). Conditional branches refine ranges on
     their out-edges; array accesses refine their index (the paper's [LS]
     predicate); loops converge by threshold widening plus narrowing.
-    Only [I32] registers are tracked, each in a slot of a native-int state;
-    [compute] updates preallocated per-block and scratch states in place,
-    allocating none per block evaluation. Queries replay the containing
-    block from its entry state. *)
+    An [I32] register gets a slot of a native-int state only if some
+    instruction or terminator of the function mentions it, as def or
+    use, so a state is as wide as what the function mentions, not as its
+    register count. An unmentioned register is never set nor refined,
+    so it would be [top] at every point; that is exactly what an
+    untracked register answers, and it never escapes a state, so
+    widening schedules are unchanged too. [compute] updates preallocated
+    per-block and scratch states in place, allocating none per block
+    evaluation. Queries replay the containing block from its entry
+    state. *)
 
 type interval = int64 * int64
 

@@ -139,7 +139,13 @@ let make ?(maxlen = Types.max_array_length) ?call_ranges (f : Cfg.func) : env =
     register-to-register copies within a block — the certifier's
     analogue of the eliminator following [Mov] chains. When an array
     access proves its index extended (see below), every register in the
-    index's class is refined with it. *)
+    index's class is refined with it.
+
+    [tok] holds [I32] registers only, and every member of a non-singleton
+    class: each block-local definition enters its destination, and a
+    copy also enters its source when the source is absent. A register
+    absent from [tok] is therefore alone in its class, and a class is
+    found by walking [tok] for its token. *)
 type copies = { mutable next : int; tok : (int, int) Hashtbl.t }
 
 let copies_create () = { next = 0; tok = Hashtbl.create 8 }
@@ -156,8 +162,20 @@ let fresh_tok c r =
   c.next <- c.next + 1;
   Hashtbl.replace c.tok r c.next
 
-let copy_tok c ~dst ~src = if dst <> src then Hashtbl.replace c.tok dst (tok_of c src)
+let copy_tok c ~dst ~src =
+  if dst <> src then begin
+    let t = tok_of c src in
+    if t < 0 then Hashtbl.replace c.tok src t;
+    Hashtbl.replace c.tok dst t
+  end
+
 let same_value c a b = a = b || tok_of c a = tok_of c b
+
+(* [fn] on every register of [r]'s class, [r] included *)
+let iter_class c r fn =
+  match Hashtbl.find_opt c.tok r with
+  | None -> fn r
+  | Some t -> Hashtbl.iter (fun r' t' -> if t' = t then fn r') c.tok
 
 (* ------------------------------------------------------------------ *)
 (* One instruction                                                     *)
@@ -179,9 +197,7 @@ let step env (copies : copies) (st : Bitset.t) (i : Instr.t) =
      extension is deleted. The whole copy class of the index is refined. *)
   (match Instr.array_index_use i.Instr.op with
   | Some (_, idx) when i32 idx ->
-      for r = 0 to env.nregs - 1 do
-        if i32 r && same_value copies r idx then Extstate.set st r Extstate.nonneg
-      done
+      iter_class copies idx (fun r -> Extstate.set st r Extstate.nonneg)
   | _ -> ());
   match i.Instr.op with
   | Instr.Mov { dst; src; ty = I32 } when i32 src && i32 dst ->

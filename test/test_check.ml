@@ -452,6 +452,130 @@ let test_json_rendering () =
      let rec go i = i + 4 <= n && (String.sub js i 4 = "j\\\"q" || go (i + 1)) in
      go 0)
 
+(* ------------------------------------------------------------------ *)
+(* Copy classes                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* [r1], made upper-zero (so subscript-safe but not sign-extended) in
+   the entry block, reaches block 1 as a register the block never
+   defined. [body b ~q r1] builds block 1's body, whose I32 return is
+   the use demanding extension; [r1] comes from the I64 parameter [q]. *)
+let copy_class_func ~name body =
+  let b, params = B.create ~name ~params:[ Ref; I64 ] ~ret:I32 () in
+  let a = List.hd params and q = List.nth params 1 in
+  let r1 = B.mov b ~ty:I32 q in
+  ignore (B.zext b r1);
+  let b1 = B.new_block b in
+  B.jmp b b1;
+  B.switch b b1;
+  let ret = body b ~a ~q r1 in
+  B.retv b I32 ret;
+  let f = B.func b in
+  Validate.check f;
+  f
+
+let certifies what f =
+  match Check.certify f with
+  | [] -> ()
+  | e :: _ -> Alcotest.failf "%s: %s" what (Certify.error_to_string e)
+
+(** [r2 = mov r1; a[r2]] proves [r1] too, although [r1] entered the
+    block from outside it: the copy's source belongs to the class. *)
+let test_copy_class_absent_source () =
+  certifies "access through the copy refines its source"
+    (copy_class_func ~name:"absent" (fun b ~a ~q:_ r1 ->
+         let r2 = B.mov b ~ty:I32 r1 in
+         ignore (B.arrload b ~lext:LSign AI32 a r2);
+         r1))
+
+let test_copy_class_source_refines_copy () =
+  certifies "access through the source refines the copy"
+    (copy_class_func ~name:"src" (fun b ~a ~q:_ r1 ->
+         let r2 = B.mov b ~ty:I32 r1 in
+         ignore (B.arrload b ~lext:LSign AI32 a r1);
+         r2))
+
+(** [r2 = mov r1; r3 = mov r2; a[r2]]: all three registers are one
+    class, so each may then be returned unextended. *)
+let test_copy_class_chain () =
+  List.iter
+    (fun pick ->
+      certifies "two-copy chain"
+        (copy_class_func ~name:"chain" (fun b ~a ~q:_ r1 ->
+             let r2 = B.mov b ~ty:I32 r1 in
+             let r3 = B.mov b ~ty:I32 r2 in
+             ignore (B.arrload b ~lext:LSign AI32 a r2);
+             List.nth [ r1; r2; r3 ] pick)))
+    [ 0; 1; 2 ]
+
+(** Redefining [r1] between the copy and the access takes it out of the
+    class: the access proves [r2] only, and [r1]'s new garbage value is
+    rejected at the return. *)
+let test_copy_class_split_by_redefinition () =
+  let f =
+    copy_class_func ~name:"split" (fun b ~a ~q r1 ->
+        let r2 = B.mov b ~ty:I32 r1 in
+        B.mov_to b ~dst:r1 ~src:q I32;
+        ignore (B.arrload b ~lext:LSign AI32 a r2);
+        r1)
+  in
+  match Check.certify f with
+  | [ e ] ->
+      Alcotest.(check int) "block" 1 e.Certify.bid;
+      Alcotest.(check (option int)) "at the return" None e.Certify.iid;
+      Alcotest.check need "need" Certify.Needs_extended e.Certify.need
+  | es -> Alcotest.failf "expected exactly one error, got %d" (List.length es)
+
+(* ------------------------------------------------------------------ *)
+(* Bit-identity of verdicts                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The certify JSON of every registry source (the 24 at scale 1) under
+   each of the twelve variants through [Compile_one.run_prog]; then,
+   under [gen use] and [all], the certify JSON of each function with
+   each surviving [Sext]/[Zext] deleted in turn, certified with the
+   program's call ranges — hashed per verdict, in a fixed order. The
+   deletions exercise the rejection paths (copy classes, witnesses) that
+   sound compiles never reach. An internal change to the certifier or
+   to [Range] must reproduce the expected value. *)
+let certify_digest () =
+  let acc = Buffer.create 4096 in
+  let add js = Buffer.add_string acc (Digest.string js) in
+  let maxlen = Types.max_array_length in
+  List.iter
+    (fun (w : Sxe_workloads.Registry.t) ->
+      let p = Sxe_lang.Frontend.compile w.source in
+      List.iter
+        (fun (config : Sxe_core.Config.t) ->
+          let o = Sxe_serve.Compile_one.run_prog ~config ~maxlen p in
+          add (Check.errors_to_json o.Sxe_serve.Compile_one.errors);
+          let name = config.Sxe_core.Config.name in
+          if name = "gen use" || name = "all" then begin
+            let prog = o.Sxe_serve.Compile_one.prog in
+            let call_ranges =
+              Sxe_analysis.Summary.call_ranges (Sxe_analysis.Summary.compute prog)
+            in
+            Prog.iter_funcs
+              (fun f ->
+                Cfg.iter_instrs
+                  (fun _ (i : Instr.t) ->
+                    match i.Instr.op with
+                    | Instr.Sext _ | Instr.Zext _ ->
+                        let g = Clone.clone_func f in
+                        let b, _ = Cfg.find_instr g i.Instr.iid in
+                        ignore (Cfg.remove_instr b i.Instr.iid);
+                        add (Check.errors_to_json (Check.certify ~maxlen ~call_ranges g))
+                    | _ -> ())
+                  f)
+              prog
+          end)
+        (Helpers.all_variants ()))
+    (Sxe_workloads.Registry.all ~scale:1 () @ Sxe_workloads.Registry.extras ~scale:1 ());
+  Digest.to_hex (Digest.string (Buffer.contents acc))
+
+let test_certify_digest () =
+  Alcotest.(check string) "certify digest" "2745d32f5699959e9aa57fddfa5044b1" (certify_digest ())
+
 let suite =
   [
     Alcotest.test_case "every workload x variant certifies" `Quick
@@ -488,4 +612,13 @@ let suite =
       test_stage_gate_raises;
     Alcotest.test_case "paranoid mode env switch" `Quick test_paranoid_env_switch;
     Alcotest.test_case "error JSON rendering" `Quick test_json_rendering;
+    Alcotest.test_case "copy class: absent source" `Quick
+      test_copy_class_absent_source;
+    Alcotest.test_case "copy class: source refines copy" `Quick
+      test_copy_class_source_refines_copy;
+    Alcotest.test_case "copy class: two-copy chain" `Quick test_copy_class_chain;
+    Alcotest.test_case "copy class: split by redefinition" `Quick
+      test_copy_class_split_by_redefinition;
+    Alcotest.test_case "certify digest over the registry" `Quick
+      test_certify_digest;
   ]

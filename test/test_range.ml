@@ -382,6 +382,113 @@ let test_no_tracked_registers () =
   Alcotest.check iv "untracked after" Range.top (Range.after t ~bid:body ~iid:inc i);
   Alcotest.check iv "out-of-range register" Range.top (Range.at_exit t ~bid:ex (Cfg.num_regs f))
 
+(* every [before]/[after] answer at every instruction of [f], and every
+   [at_exit] answer, for register [r] *)
+let all_answers t f r =
+  List.concat_map
+    (fun bid ->
+      List.concat_map
+        (fun (i : Instr.t) ->
+          [ Range.before t ~bid ~iid:i.iid r; Range.after t ~bid ~iid:i.iid r ])
+        (Cfg.body (Cfg.block f bid))
+      @ [ Range.at_exit t ~bid r ])
+    (List.init (Cfg.num_blocks f) Fun.id)
+
+let check_top_everywhere what t f r =
+  List.iter (Alcotest.check iv what Range.top) (all_answers t f r)
+
+let test_never_set_registers () =
+  (* A loop whose counter is refined and widened, beside three I32
+     registers nothing sets: [u] is mentioned by no instruction, the
+     parameter [p] is only read, and [c] is read only by [checksum]. *)
+  let b, params = B.create ~name:"f" ~params:[ I32 ] ~ret:I32 () in
+  let p = List.hd params in
+  let u = B.fresh b I32 and c = B.fresh b I32 in
+  let i = B.iconst b 0 in
+  let one = B.iconst b 1 and ten = B.iconst b 10 in
+  let h = B.new_block b and body = B.new_block b and ex = B.new_block b in
+  B.jmp b h;
+  B.switch b h;
+  B.br b Lt i ten ~ifso:body ~ifnot:ex;
+  B.switch b body;
+  let s = B.add b i p in
+  ignore (B.call b "checksum" [ (c, I32) ]);
+  B.binop_to b Add ~dst:i i one;
+  B.jmp b h;
+  B.switch b ex;
+  B.retv b I32 s;
+  let f = B.func b in
+  let t = Range.compute f in
+  check_top_everywhere "unmentioned register" t f u;
+  check_top_everywhere "read-only parameter" t f p;
+  check_top_everywhere "checksum-only register" t f c;
+  Alcotest.check iv "the counter is still bounded" (0L, 9L)
+    (Range.before t ~bid:body ~iid:(first_iid f body) i)
+
+let test_no_mentioned_registers () =
+  (* I32 registers exist (an unused parameter, an unused fresh register)
+     but only I64 code runs, around a loop *)
+  let b, params = B.create ~name:"f" ~params:[ I32; I64 ] ~ret:I64 () in
+  let p = List.hd params and n = List.nth params 1 in
+  let u = B.fresh b I32 in
+  let i = B.lconst b 0L and one = B.lconst b 1L in
+  let h = B.new_block b and body = B.new_block b and ex = B.new_block b in
+  B.jmp b h;
+  B.switch b h;
+  B.br b ~w:W64 Lt i n ~ifso:body ~ifnot:ex;
+  B.switch b body;
+  B.binop_to b ~w:W64 Add ~dst:i i one;
+  B.jmp b h;
+  B.switch b ex;
+  B.retv b I64 i;
+  let f = B.func b in
+  let t = Range.compute f in
+  check_top_everywhere "unused parameter" t f p;
+  check_top_everywhere "unused register" t f u;
+  check_top_everywhere "I64 counter" t f i
+
+(* b0: x = p & 255; y = q & 127; w = 50; br (x >= w) b2 b1
+   b1: y = 200; jmp m                    — x in [0, 49]
+   b2: br (x cond r) m ex                — x in [50, 255]
+   m:  the merge, reached from b1 first and over b2's refined edge second *)
+let refined_merge ~self =
+  let b, params = B.create ~name:"f" ~params:[ I32; I32 ] ~ret:I32 () in
+  let m255 = B.iconst b 255 and m127 = B.iconst b 127 and w = B.iconst b 50 in
+  let x = B.and_ b (List.hd params) m255 in
+  let y = B.and_ b (List.nth params 1) m127 in
+  let b2 = B.new_block b in
+  let b1 = B.new_block b in
+  let m = B.new_block b in
+  let ex = B.new_block b in
+  B.br b Ge x w ~ifso:b2 ~ifnot:b1;
+  B.switch b b1;
+  B.mov_to b ~dst:y ~src:(B.iconst b 200) I32;
+  B.jmp b m;
+  B.switch b b2;
+  B.br b Lt x (if self then x else y) ~ifso:m ~ifnot:ex;
+  B.switch b m;
+  B.retv b I32 (B.add b x y);
+  B.switch b ex;
+  B.retv b I32 x;
+  let f = B.func b in
+  Alcotest.(check (list int)) "the refined edge comes second" [ b1; b2 ] (Cfg.preds f).(m);
+  let t = Range.compute f in
+  let at_m r = Range.before t ~bid:m ~iid:(first_iid f m) r in
+  (at_m x, at_m y)
+
+let test_merge_over_refined_edge () =
+  (* b2 -> m refines x < y: x to [50, 126] and y to [51, 127] *)
+  let x, y = refined_merge ~self:false in
+  Alcotest.check iv "x: [0, 49] join [50, 126]" (0L, 126L) x;
+  Alcotest.check iv "y: [200, 200] join [51, 127]" (51L, 200L) y
+
+let test_merge_over_self_compare_edge () =
+  (* b2 -> m refines x < x: the left refinement gives [50, 254], the
+     right one sees it and gives [51, 254]; b1 contributes [0, 49] *)
+  let x, y = refined_merge ~self:true in
+  Alcotest.check iv "x: [0, 49] join [51, 254]" (0L, 254L) x;
+  Alcotest.check iv "y: [200, 200] join [0, 127]" (0L, 200L) y
+
 let test_one_block () =
   let b, params = B.create ~name:"f" ~params:[ I32 ] ~ret:I32 () in
   let m = B.iconst b 15 in
@@ -492,6 +599,10 @@ let suite =
     Alcotest.test_case "branch with one target" `Quick test_same_target_branch;
     Alcotest.test_case "branch comparing a register to itself" `Quick test_self_compare_branch;
     Alcotest.test_case "no tracked registers" `Quick test_no_tracked_registers;
+    Alcotest.test_case "never-set registers answer top" `Quick test_never_set_registers;
+    Alcotest.test_case "no mentioned I32 register" `Quick test_no_mentioned_registers;
+    Alcotest.test_case "merge over a refined edge" `Quick test_merge_over_refined_edge;
+    Alcotest.test_case "merge over a self-compare edge" `Quick test_merge_over_self_compare_edge;
     Alcotest.test_case "one-block function" `Quick test_one_block;
     Alcotest.test_case "threshold lookup" `Quick test_threshold_lookup;
     Alcotest.test_case "answers digest over the registry" `Quick test_answers_digest;
