@@ -328,9 +328,8 @@ let pass_tests () =
    pre-decoded engine with superinstruction fusion. Compilation happens
    once, outside the staged thunk, so these time pure execution (the
    decode itself is amortized by the per-function cache after the first
-   iteration — exactly the steady state the engine is designed for). The
-   precode row pins [Fuse.Off] explicitly so an ambient [SXE_FUSE]
-   cannot turn the unfused baseline into a second fused row. *)
+   iteration — exactly the steady state the engine is designed for). Both
+   precode rows pass [~fused] explicitly. *)
 let vm_workloads = [ "compress"; "Numeric Sort" ]
 
 let vm_tests () =
@@ -341,17 +340,17 @@ let vm_tests () =
       let prog = Sxe_lang.Frontend.compile w.Sxe_workloads.Registry.source in
       ignore (Sxe_core.Pass.compile (Sxe_core.Config.new_all ()) prog);
       let structural () = ignore (Sxe_vm.Interp.run ~engine:`Structural prog) in
-      let precode fuse () = ignore (Sxe_vm.Interp.run ~engine:`Precode ~fuse prog) in
+      let precode fused () = ignore (Sxe_vm.Interp.run ~engine:`Precode ~fused prog) in
       [
         Test.make
           ~name:(Printf.sprintf "vm: run %s (structural)" wname)
           (Staged.stage structural);
         Test.make
           ~name:(Printf.sprintf "vm: run %s (precode)" wname)
-          (Staged.stage (precode Sxe_vm.Fuse.Off));
+          (Staged.stage (precode false));
         Test.make
           ~name:(Printf.sprintf "vm: run %s (fused)" wname)
-          (Staged.stage (precode Sxe_vm.Fuse.All));
+          (Staged.stage (precode true));
       ])
     vm_workloads
 
@@ -384,8 +383,8 @@ let ab_medians wname =
   let prog = Sxe_lang.Frontend.compile w.Sxe_workloads.Registry.source in
   ignore (Sxe_core.Pass.compile (Sxe_core.Config.new_all ()) prog);
   let structural () = ignore (Sxe_vm.Interp.run ~engine:`Structural prog) in
-  let precode fuse () = ignore (Sxe_vm.Interp.run ~engine:`Precode ~fuse prog) in
-  let unfused = precode Sxe_vm.Fuse.Off and fused = precode Sxe_vm.Fuse.All in
+  let precode fused () = ignore (Sxe_vm.Interp.run ~engine:`Precode ~fused prog) in
+  let unfused = precode false and fused = precode true in
   (* warm every decode cache so round 1 times execution, not decoding *)
   structural ();
   unfused ();
@@ -412,7 +411,7 @@ let dispatch_pairs wname =
   let prof = Sxe_vm.Profile.create () in
   Sxe_vm.Precode.enable_dispatch prof;
   ignore
-    (Sxe_vm.Interp.run ~engine:`Precode ~fuse:Sxe_vm.Fuse.Off ~profile:prof prog);
+    (Sxe_vm.Interp.run ~engine:`Precode ~fused:false ~profile:prof prog);
   let all = Sxe_vm.Precode.dispatch_counts prof in
   List.filteri (fun i _ -> i < dispatch_top) all
 

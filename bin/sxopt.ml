@@ -50,6 +50,9 @@ let variant_arg =
           (Printf.sprintf "Optimization variant: %s."
              (String.concat ", " (List.map fst variant_names))))
 
+(* [--fuse]: superinstruction fusion on ([all]) or off *)
+let fuse_conv = Arg.enum [ ("all", true); ("off", false) ]
+
 let arch_arg =
   Arg.(
     value
@@ -164,32 +167,21 @@ let run_cmd =
   let fuse_arg =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "fuse" ] ~docv:"SPEC"
+      & opt fuse_conv true
+      & info [ "fuse" ] ~docv:"all|off"
           ~doc:
-            "Superinstruction-fusion selection for the pre-decoded engine: \
-             $(b,all), $(b,off) or a comma-separated rule list. Defaults to \
-             the $(b,SXE_FUSE) environment variable, then $(b,all). The \
-             outcome — output, checksum, trap and every counter — is \
-             bit-identical under any selection; only wall-clock changes.")
+            "Superinstruction fusion in the pre-decoded engine: $(b,all) \
+             (the default) or $(b,off). The outcome — output, checksum, trap \
+             and every counter — is bit-identical either way; only \
+             wall-clock changes.")
   in
-  let run file variant arch maxlen canonical profile trace fuse =
+  let run file variant arch maxlen canonical profile trace fused =
     with_frontend_errors @@ fun () ->
     let src = read_source file in
     let prog = Sxe_lang.Frontend.compile src in
     let tr = if trace then Some Format.err_formatter else None in
-    let fuse_sel =
-      match fuse with
-      | None -> None
-      | Some s -> (
-          match Sxe_vm.Fuse.parse s with
-          | Ok sel -> Some sel
-          | Error msg ->
-              Printf.eprintf "error: --fuse: %s\n" msg;
-              exit 2)
-    in
     let out =
-      if canonical then Sxe_vm.Interp.run ~mode:`Canonical ?trace:tr ?fuse:fuse_sel prog
+      if canonical then Sxe_vm.Interp.run ~mode:`Canonical ?trace:tr ~fused prog
       else begin
         let config = config_of ~arch ~maxlen variant in
         let profile_src =
@@ -204,7 +196,7 @@ let run_cmd =
         in
         let _ = Sxe_core.Pass.compile ?profile:profile_src config prog in
         Sxe_ir.Validate.check_prog prog;
-        Sxe_vm.Interp.run ~mode:`Faithful ?trace:tr ?fuse:fuse_sel prog
+        Sxe_vm.Interp.run ~mode:`Faithful ?trace:tr ~fused prog
       end
     in
     print_string out.Sxe_vm.Interp.output;
@@ -584,20 +576,20 @@ let bench_cmd =
   in
   let fuse_arg =
     Arg.(
-      value & opt string "off"
-      & info [ "fuse" ] ~docv:"SPEC"
+      value
+      & opt fuse_conv false
+      & info [ "fuse" ] ~docv:"all|off"
           ~doc:
-            "Fusion selection for the measured run: $(b,all), $(b,off) or a \
-             comma-separated rule list. Defaults to $(b,off) so the histogram \
-             shows unfused fusion candidates; $(b,all) shows what remains \
-             after fusion.")
+            "Superinstruction fusion for the measured run: $(b,all) or \
+             $(b,off). Defaults to $(b,off) so the histogram shows unfused \
+             fusion candidates; $(b,all) shows what remains after fusion.")
   in
   let top_arg =
     Arg.(
       value & opt int 0
       & info [ "top" ] ~docv:"N" ~doc:"Keep only the N most frequent pairs (0 = all).")
   in
-  let run dispatch workload variant arch maxlen scale fuse top =
+  let run dispatch workload variant arch maxlen scale fused top =
     with_frontend_errors @@ fun () ->
     if not dispatch then begin
       Printf.eprintf
@@ -605,13 +597,6 @@ let bench_cmd =
          benchmarks live in bench/main.exe)\n";
       exit 2
     end;
-    let fuse_sel =
-      match Sxe_vm.Fuse.parse fuse with
-      | Ok s -> s
-      | Error msg ->
-          Printf.eprintf "error: --fuse: %s\n" msg;
-          exit 2
-    in
     let ws =
       match workload with
       | Some name -> [ Sxe_workloads.Registry.find ~scale name ]
@@ -626,7 +611,7 @@ let bench_cmd =
           let prof = Sxe_vm.Profile.create () in
           Sxe_vm.Precode.enable_dispatch prof;
           let out =
-            Sxe_vm.Interp.run ~mode:`Faithful ~profile:prof ~fuse:fuse_sel prog
+            Sxe_vm.Interp.run ~mode:`Faithful ~profile:prof ~fused prog
           in
           let pairs = Sxe_vm.Precode.dispatch_counts prof in
           let pairs = if top > 0 then List.filteri (fun i _ -> i < top) pairs else pairs in
@@ -653,7 +638,7 @@ let bench_cmd =
       "{\n  \"variant\": \"%s\",\n  \"fuse\": \"%s\",\n  \"scale\": %d,\n  \
        \"workloads\": {\n%s\n  }\n}\n"
       (String.escaped config.Sxe_core.Config.name)
-      (String.escaped (Sxe_vm.Fuse.key fuse_sel))
+      (if fused then "all" else "off")
       scale
       (String.concat ",\n" items)
   in
@@ -734,7 +719,7 @@ let check_inputs file workloads corpus : (string * Sxe_ir.Prog.t) list =
   | inputs -> inputs
 
 let check_configs variant arch maxlen all_variants : Sxe_core.Config.t list =
-  if all_variants then Sxe_fuzz.Oracle.all_variants ~arch ~maxlen ()
+  if all_variants then Sxe_core.Config.measured ~arch ~maxlen ()
   else [ config_of ~arch ~maxlen variant ]
 
 (* The (input, variant) cells of the checking matrix, in the order the

@@ -1,8 +1,10 @@
 (** Optimizer configuration: one value per variant measured in Tables 1-2.
 
     The flags mirror the paper's breakdown rows exactly. The twelve
-    measured configurations are listed in [Experiment.default_variants]
-    and, by name, in [Compile_one.variant_names]. *)
+    measured configurations, in the tables' row order and with their
+    CLI/request spellings, are the single table {!variants}; the
+    experiment matrix, the fuzz oracle, the tests and the CLI/daemon
+    variant names all derive from it. *)
 
 type conversion = Gen_def | Gen_use
 type elimination = Elim_none | Elim_bwd_flow | Elim_ud_du
@@ -76,6 +78,44 @@ let all_pde ?arch ?maxlen () =
 let new_all ?arch ?maxlen () =
   ud_du ?arch ?maxlen ~name:"new algorithm (all)" ~insertion:Ins_simple ~order:true
     ~array:true ()
+
+(** A measured variant, by its CLI/request spelling in {!variants}. *)
+type variant =
+  [ `Baseline
+  | `Gen_use
+  | `First
+  | `Basic
+  | `Insert
+  | `Order
+  | `Insert_order
+  | `Array
+  | `Array_insert
+  | `Array_order
+  | `All_pde
+  | `All ]
+
+(** The twelve variants of Tables 1-2, in row order: tag, CLI/request
+    spelling, constructor. *)
+let variants :
+    (variant * string * (?arch:Arch.t -> ?maxlen:int64 -> unit -> t)) list =
+  [
+    (`Baseline, "baseline", baseline);
+    (`Gen_use, "gen-use", gen_use);
+    (`First, "first", first_algorithm);
+    (`Basic, "basic", basic_ud_du);
+    (`Insert, "insert", insert);
+    (`Order, "order", order);
+    (`Insert_order, "insert-order", insert_order);
+    (`Array, "array", array);
+    (`Array_insert, "array-insert", array_insert);
+    (`Array_order, "array-order", array_order);
+    (`All_pde, "all-pde", all_pde);
+    (`All, "all", new_all);
+  ]
+
+(** Every measured configuration, in {!variants} order. *)
+let measured ?arch ?maxlen () : t list =
+  List.map (fun (_, _, mk) -> mk ?arch ?maxlen ()) variants
 
 (** extension beyond the paper: the full algorithm preceded by method
     inlining, which deletes ABI-boundary extensions outright *)

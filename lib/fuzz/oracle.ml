@@ -58,23 +58,6 @@ let pp_failure ppf (f : failure) =
 
 let default_fuel = 400_000L
 
-(** The twelve measured variants of Tables 1-2 for one architecture. *)
-let all_variants ?arch ?maxlen () : Sxe_core.Config.t list =
-  [
-    Sxe_core.Config.baseline ?arch ?maxlen ();
-    Sxe_core.Config.gen_use ?arch ?maxlen ();
-    Sxe_core.Config.first_algorithm ?arch ?maxlen ();
-    Sxe_core.Config.basic_ud_du ?arch ?maxlen ();
-    Sxe_core.Config.insert ?arch ?maxlen ();
-    Sxe_core.Config.order ?arch ?maxlen ();
-    Sxe_core.Config.insert_order ?arch ?maxlen ();
-    Sxe_core.Config.array ?arch ?maxlen ();
-    Sxe_core.Config.array_insert ?arch ?maxlen ();
-    Sxe_core.Config.array_order ?arch ?maxlen ();
-    Sxe_core.Config.all_pde ?arch ?maxlen ();
-    Sxe_core.Config.new_all ?arch ?maxlen ();
-  ]
-
 (** Raw 32-bit-form IR of a case (shared, do not mutate: clone first). *)
 let prog_of_case = function
   | Minij src -> Sxe_lang.Frontend.compile src
@@ -87,8 +70,8 @@ let fuel_exhausted (o : Sxe_vm.Interp.outcome) =
   o.Sxe_vm.Interp.trap = Some "fuel-exhausted"
 
 (** Run [p] under all three execution engines — structural, plain
-    pre-decoded ([Fuse.Off]) and pre-decoded with superinstruction
-    fusion ([Fuse.All]) — and compare every outcome field — output,
+    pre-decoded ([~fused:false]) and pre-decoded with superinstruction
+    fusion ([~fused:true]) — and compare every outcome field — output,
     checksum, trap, return value AND the dynamic counters (executed,
     sext32, sext_sub, zext32, zext_sub, cycles). The engines promise
     bit-identical
@@ -99,8 +82,8 @@ let fuel_exhausted (o : Sxe_vm.Interp.outcome) =
 let engine_cross ?(fuel = default_fuel) ~mode (p : Prog.t) :
     Sxe_vm.Interp.outcome * string option =
   let open Sxe_vm.Interp in
-  let pre = run ~mode ~fuel ~engine:`Precode ~fuse:Sxe_vm.Fuse.Off p in
-  let fused = run ~mode ~fuel ~engine:`Precode ~fuse:Sxe_vm.Fuse.All p in
+  let pre = run ~mode ~fuel ~engine:`Precode ~fused:false p in
+  let fused = run ~mode ~fuel ~engine:`Precode ~fused:true p in
   let st = run ~mode ~fuel ~engine:`Structural p in
   let cmp aname (a : outcome) bname (b : outcome) =
     if a.trap <> b.trap then
@@ -279,8 +262,8 @@ let run_variant ?(fuel = default_fuel) ?sabotage ~ref_ (config : Sxe_core.Config
     arbitrary hand-built CFGs, where the insertion heuristics can
     occasionally place an extension on a hotter edge. *)
 let check ?(fuel = default_fuel) ?(archs = [ Sxe_core.Arch.ia64 ])
-    ?(variants = fun arch -> all_variants ~arch ()) ?sabotage ?check_cost (case : case)
-    : failure list =
+    ?(variants = fun arch -> Sxe_core.Config.measured ~arch ()) ?sabotage ?check_cost
+    (case : case) : failure list =
   let check_cost =
     match check_cost with
     | Some b -> b

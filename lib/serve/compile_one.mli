@@ -9,19 +9,8 @@
     [sxopt certify] run of the same (source, variant, arch, maxlen)
     are the same computation, not two copies drifting apart. *)
 
-type variant =
-  [ `Baseline
-  | `Gen_use
-  | `First
-  | `Basic
-  | `Insert
-  | `Order
-  | `Insert_order
-  | `Array
-  | `Array_insert
-  | `Array_order
-  | `All_pde
-  | `All ]
+type variant = Sxe_core.Config.variant
+(** The measured variants, tabled once in {!Sxe_core.Config.variants}. *)
 
 val variant_names : (string * variant) list
 (** CLI/request spelling of each paper variant ("baseline", "all", …). *)

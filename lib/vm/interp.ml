@@ -362,17 +362,16 @@ let run_structural ?(mode = `Faithful) ?(fuel = 2_000_000_000L) ?(count_cycles =
 (** Engine dispatch. The pre-decoded engine is the default; [trace] and
     [watch] hooks observe individual structural instructions, so runs that
     pass either are routed to the structural engine regardless of
-    [engine]. [fuse] selects the pre-decoded engine's superinstruction
-    fusion rules (default: the ambient [SXE_FUSE] selection); the
-    structural engine ignores it. *)
-let run ?mode ?fuel ?count_cycles ?profile ?trace ?watch ?engine ?fuse
+    [engine]. [fused] (default true) selects the pre-decoded engine's
+    superinstruction-fused images; the structural engine ignores it. *)
+let run ?mode ?fuel ?count_cycles ?profile ?trace ?watch ?engine ?fused
     (prog : Prog.t) : outcome =
   let engine =
     if trace <> None || watch <> None then `Structural
     else match engine with Some e -> e | None -> `Precode
   in
   match engine with
-  | `Precode -> Precode.run ?mode ?fuel ?count_cycles ?profile ?fuse prog
+  | `Precode -> Precode.run ?mode ?fuel ?count_cycles ?profile ?fused prog
   | `Structural -> run_structural ?mode ?fuel ?count_cycles ?profile ?trace ?watch prog
 
 (** Equality of observable behaviour: output, checksum, trap and return

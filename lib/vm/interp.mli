@@ -41,7 +41,7 @@ val run :
   ?trace:Format.formatter ->
   ?watch:(string -> int -> int64 -> unit) ->
   ?engine:[ `Precode | `Structural ] ->
-  ?fuse:Fuse.selection ->
+  ?fused:bool ->
   Sxe_ir.Prog.t ->
   outcome
 (** Execute the program's [main].
@@ -63,7 +63,10 @@ val run :
     pre-decoded form cached per function (see {!Precode}); [`Structural]
     interprets the linked CFG directly. Both produce bit-identical
     outcomes, counters included. Runs with [trace] or [watch] always use
-    the structural engine — the hooks observe structural instructions. *)
+    the structural engine — the hooks observe structural instructions.
+    [fused] (default true) runs the pre-decoded engine on
+    superinstruction-fused images ([docs/VM.md], "Superinstructions");
+    it changes no outcome field. *)
 
 val equivalent : outcome -> outcome -> bool
 (** Observable equality: output, checksum, trap and return value (the

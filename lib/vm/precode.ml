@@ -222,9 +222,9 @@ type mvb = {
     second binop's operand sources [s2l]/[s2r] are resolved when the
     chain is built: 0 = register file, 1 = first binop's result,
     3 = first constant, 4 = second constant (the codes are shared with
-    the [sbl]/[sbr]/[smv] fields of the longer chains, where 2 = second
-    binop's result and 5 = the mov's value). [xw1]/[xw2] elide result
-    writes that liveness proved dead after the whole group. *)
+    the [smv] fields of the mov-jmp chains, and {!PGLoadBinBin} adds
+    6 = the loaded global). [xw1]/[xw2] elide result writes that
+    liveness proved dead after the whole group. *)
 type bb = {
   a : cbin;
   hb : int;
@@ -312,194 +312,52 @@ type pi =
   | PRetI of { r : int }
   | PRetF of { r : int }
   (* Fused superinstructions (see [fuse_code]). Each constructor holds
-     the decoded fields of the adjacent pair/triple it replaces; [c2]
-     ([c3]) is the second (third) constituent's static cost, captured
+     the decoded fields of the adjacent pair it replaces; [c2] is the
+     second constituent's static cost, captured
      from the decoder's cost table, so the fused handlers tick, check
      fuel and charge per constituent exactly as the plain opcodes do.
 
      The [w*] flags are liveness facts computed at fuse time: [wdst]
-     (resp. [wd1], [wd2], [wsr]) is false when the intermediate register
+     (resp. [wd1], [wsr], [vw]) is false when the intermediate register
      written by that constituent is dead after the group — overwritten
      within it, or not live out of the block — in which case the handler
      skips the write and forwards the value locally. Registers are not
      observable in a precode outcome (no trace/watch here; traps carry no
      register state), so eliding a dead intermediate write is invisible. *)
-  | PCmpBr of {
-      dst : int;
-      cond : cond;
-      w64 : bool;
-      l : int;
-      r : int;
-      wdst : bool;
-      c2 : int;
-      b : br;
-    }
-  | PCmpConstBr of {
-      dst : int;
-      cond : cond;
-      w64 : bool;
-      l : int;
-      r : int;
-      wdst : bool;
-      d2 : int;
-      v2 : int64;
-      wd2 : bool;
-      c2 : int;
-      c3 : int;
-      t1 : bool;  (** branch taken when the compare holds *)
-      t0 : bool;  (** branch taken when it does not *)
-      b : br;
-    }
-      (** only fused when both branch operands are produced inside the
-          group ([dst]/[d2]), so the outcome is a fuse-time function of
-          the compare bit: [t1]/[t0] *)
   | PConstBr of { d1 : int; v : int64; cvi : int; wd1 : bool; c2 : int; b : br }
       (** [cvi] = [sx32 v], the constant's native-int 32-bit image *)
   | PLoadBr of { ld : ald; wdst : bool; c2 : int; b : br }
   | PMovJmp of mvj
+  | PMovBr of mvb
   | PStoreJmp of { s : ast; c2 : int; j : jm }
       (** loop-tail store: no data-dependency condition, the fused pair
           only saves the dispatch between store and jump *)
-  | PConstJmp of { dst : int; v : int64; wd1 : bool; c2 : int; j : jm }
   | PSextLoad of { sr : int; wsr : bool; c2 : int; ld : ald }
   | PLoadSext of { ld : ald; c2 : int; xr : int; sh : int }
       (** [sh = -1]: 32-bit re-extension (counts [sext32]); otherwise the
           [SextSub] shift amount (counts [sext_sub]) *)
-  | PZextLoad of { zr : int; mask : int64; wzr : bool; c2 : int; ld : ald }
-      (** [Zext] + [ArrLoad] indexed by the just-zeroed register: after
-          the mask the full register equals its low-32 image whenever the
-          signed image is non-negative, so the wild-access check can
-          never fire and the bounds test alone suffices *)
-  | PLoadZext of { ld : ald; c2 : int; xr : int; mask : int64 }
-      (** [ArrLoad] + [Zext] truncating the loaded value
-          ([xr = ld.ldst]); [mask = 0xFFFF_FFFF] counts [zext32],
-          narrower masks count [zext_sub] *)
   | PConstBin of cbin
-  | PAddStore of {
-      dst : int;
-      l : int;
-      r : int;
-      ext : bool;
-      wdst : bool;
-      c2 : int;
-      s : ast;
-    }
   | PLoadLoad of { l1 : ald; c2 : int; l2 : ald }
   | PLoadStore of { ld : ald; c2 : int; s : ast }
-  | PStoreStore of { s1 : ast; c2 : int; s2 : ast }
+  | PGStoreGLoad of {
+      sslot : int;
+      src : int;
+      c2 : int;
+      ldst : int;
+      lslot : int;
+      lsign : bool;
+      lext : bool;
+      wl : bool;
+    }  (** 32-bit global store followed by a 32-bit global load (the
+           seed-update idiom in Numeric Sort's PRNG); executed verbatim *)
   (* Chained superinstructions: a second fusion pass merges a fused
-     group with the group (or terminator) that follows it. The embedded
-     payloads keep the write-elision flags computed for their original
-     positions — a skipped write is dead downstream, so the chained tail
-     never reads it; [hb]/[hm]/[cb] is the second group's head cost. *)
+     group with the group (or instruction) that follows it. Every read of
+     a value produced earlier in the group is forwarded through a local
+     (a fuse-time source code), and the write-elision flags are computed
+     against liveness at the end of the whole group; [hb]/[hm]/[cs] is
+     the second group's head cost. *)
   | PBinBin of bb
-  | PBinBr of { a : cbin; xw : bool; cb : int; sbl : int; sbr : int; b : br }
   | PBinMovJmp of { a : cbin; xw : bool; hm : int; smv : int; m : mvj }
-  | PStoreMovJmp of { s : ast; hm : int; m : mvj }
-  (* Block-shaped superinstructions: a chained group covering a whole
-     hot basic block (Numeric Sort's sift loop), built by iterating the
-     chain pass to a fixpoint. Every register read of a value produced
-     earlier in the group is forwarded through a local (the [s*]/[z*]
-     source codes, resolved at fuse time), so the write flags can be
-     computed against liveness at the *end* of the group: a dead
-     intermediate never touches the register file at all. The groups
-     guarantee (fuse-time guards) that their written registers are
-     pairwise distinct, so a float-typed cell at run time — where the
-     loaded local keeps the stale integer register, as the structural
-     engine would — cannot alias a forwarded integer value. *)
-  | PMovBr of mvb
-  | PBinBinBr of { bb : bb; cb : int; sbl : int; sbr : int; b : br }
-  | PBinBinMovBr of { bb : bb; hm : int; smv : int; m : mvb; sbl : int; sbr : int }
-  | PLoadSxLoad of {
-      l1 : ald;
-      w1 : bool;
-      cs : int;  (** the Sext32 constituent's cost *)
-      sr : int;
-      wsr : bool;
-      f1 : bool;  (** the sext reads the first load's value *)
-      cl : int;  (** the second load's cost *)
-      l2 : ald;  (** [l2.lidx = sr]: indexed by the just-extended value *)
-    }
-  | PLoadSxLoadBr of {
-      l1 : ald;
-      w1 : bool;
-      cs : int;
-      sr : int;
-      wsr : bool;
-      f1 : bool;
-      cl : int;
-      l2 : ald;
-      w2 : bool;
-      cb : int;
-      sbl : int;  (** branch sources: 0 reg file, 1 load1, 2 sext, 3 load2 *)
-      sbr : int;
-      b : br;
-    }
-  | PSxLoadBin of {
-      sr : int;
-      wsr : bool;
-      cl : int;
-      ld : ald;  (** [ld.lidx = sr] *)
-      w1 : bool;
-      hb : int;
-      a : cbin;
-      s2l : int;  (** binop sources: 0 reg file, 1 load, 2 sext, 4 const *)
-      s2r : int;
-      xw : bool;
-    }
-  | PSxLoadBinLoadBr of {
-      sr : int;
-      wsr : bool;
-      cl : int;
-      ld : ald;
-      w1 : bool;
-      hb : int;
-      a : cbin;
-      s2l : int;
-      s2r : int;
-      xw : bool;
-      hl : int;
-      ld2 : ald;
-      w2 : bool;
-      si : int;  (** load2's index source: 0 reg file, 1 load1, 2 sext, 3 bin *)
-      cb : int;
-      sbl : int;  (** branch: 0 reg file, 1 load1, 2 sext, 3 bin, 5 load2 *)
-      sbr : int;
-      b : br;
-    }
-  | PLoad2Store2 of {
-      l1 : ald;
-      w1 : bool;
-      c2 : int;
-      l2 : ald;
-      w2 : bool;
-      c3 : int;
-      s1 : ast;
-      z1 : int;  (** store source: 0 reg file, 1 load1, 2 load2 *)
-      zr1 : bool;  (** same element kind: store the raw cell value back *)
-      c4 : int;
-      s2 : ast;
-      z2 : int;
-      zr2 : bool;
-    }
-  | PSwapJmp of {
-      l1 : ald;
-      w1 : bool;
-      c2 : int;
-      l2 : ald;
-      w2 : bool;
-      c3 : int;
-      s1 : ast;
-      z1 : int;
-      zr1 : bool;
-      c4 : int;
-      s2 : ast;
-      z2 : int;
-      zr2 : bool;
-      hm : int;
-      smv : int;  (** mov source: 0 reg file, 1 load1, 2 load2 *)
-      m : mvj;
-    }
   | PBinSext of { a : cbin; cs : int; xw : bool }
       (** const+binop whose result register is immediately re-extended
           ([Sext32 a.dst]): the pre-extension write is overwritten in the
@@ -513,18 +371,6 @@ type pi =
       smv : int;  (** mov source: 0 reg file, 1 sext result, 3 const *)
       m : mvj;
     }
-  | PSextMovJmp of { xr : int; xw : bool; hm : int; smv : int; m : mvj }
-  | PGStoreGLoad of {
-      sslot : int;
-      src : int;
-      c2 : int;
-      ldst : int;
-      lslot : int;
-      lsign : bool;
-      lext : bool;
-      wl : bool;
-    }  (** 32-bit global store followed by a 32-bit global load (the
-           seed-update idiom in Numeric Sort's PRNG); executed verbatim *)
   | PGLoadBinBin of {
       gdst : int;
       gslot : int;
@@ -536,9 +382,6 @@ type pi =
       sar : int;
       bb : bb;  (** [bb]'s 0-source codes may be upgraded to 6 as well *)
     }
-  | PBinBinRet of { bb : bb; cr : int; r : int; sr : int }
-      (** [sr]: return-value source — 0 reg file, 1/2 bin results,
-          3/4 constants *)
 
 type pfunc = {
   fname : string;
@@ -615,41 +458,22 @@ let op_id = function
   | PRet0 -> 49
   | PRetI _ -> 50
   | PRetF _ -> 51
-  | PCmpBr _ -> 52
-  | PCmpConstBr _ -> 53
-  | PConstBr _ -> 54
-  | PLoadBr _ -> 55
-  | PMovJmp _ -> 56
+  | PConstBr _ -> 52
+  | PLoadBr _ -> 53
+  | PMovJmp _ -> 54
+  | PMovBr _ -> 55
+  | PStoreJmp _ -> 56
   | PSextLoad _ -> 57
   | PLoadSext _ -> 58
   | PConstBin _ -> 59
-  | PAddStore _ -> 60
-  | PLoadLoad _ -> 61
-  | PLoadStore _ -> 62
-  | PStoreStore _ -> 63
-  | PBinBin _ -> 64
-  | PBinBr _ -> 65
-  | PBinMovJmp _ -> 66
-  | PStoreMovJmp _ -> 67
-  | PMovBr _ -> 68
-  | PBinBinBr _ -> 69
-  | PBinBinMovBr _ -> 70
-  | PLoadSxLoad _ -> 71
-  | PLoadSxLoadBr _ -> 72
-  | PSxLoadBin _ -> 73
-  | PSxLoadBinLoadBr _ -> 74
-  | PLoad2Store2 _ -> 75
-  | PSwapJmp _ -> 76
-  | PStoreJmp _ -> 77
-  | PConstJmp _ -> 78
-  | PBinSext _ -> 79
-  | PBinSextMovJmp _ -> 80
-  | PSextMovJmp _ -> 81
-  | PGStoreGLoad _ -> 82
-  | PGLoadBinBin _ -> 83
-  | PBinBinRet _ -> 84
-  | PZextLoad _ -> 85
-  | PLoadZext _ -> 86
+  | PLoadLoad _ -> 60
+  | PLoadStore _ -> 61
+  | PBinBin _ -> 62
+  | PBinMovJmp _ -> 63
+  | PBinSext _ -> 64
+  | PBinSextMovJmp _ -> 65
+  | PGStoreGLoad _ -> 66
+  | PGLoadBinBin _ -> 67
 
 let op_names =
   [|
@@ -659,13 +483,10 @@ let op_names =
     "FCmp"; "ItoF"; "D2I"; "D2L"; "NewArr"; "ArrLoad"; "ArrStore"; "ArrLen";
     "GLoadF"; "GLoadI32"; "GLoadI"; "GStoreF"; "GStoreI32"; "GStoreI";
     "PrintI"; "PrintF"; "CheckI"; "CheckF"; "TrapOp"; "CallUser"; "Jmp";
-    "Br"; "Ret0"; "RetI"; "RetF"; "CmpBr"; "CmpConstBr"; "ConstBr"; "LoadBr";
-    "MovJmp"; "SextLoad"; "LoadSext"; "ConstBin"; "AddStore"; "LoadLoad";
-    "LoadStore"; "StoreStore"; "BinBin"; "BinBr"; "BinMovJmp"; "StoreMovJmp";
-    "MovBr"; "BinBinBr"; "BinBinMovBr"; "LoadSxLoad"; "LoadSxLoadBr";
-    "SxLoadBin"; "SxLoadBinLoadBr"; "Load2Store2"; "SwapJmp"; "StoreJmp";
-    "ConstJmp"; "BinSext"; "BinSextMovJmp"; "SextMovJmp"; "GStoreGLoad";
-    "GLoadBinBin"; "BinBinRet"; "ZextLoad"; "LoadZext";
+    "Br"; "Ret0"; "RetI"; "RetF"; "ConstBr"; "LoadBr"; "MovJmp"; "MovBr";
+    "StoreJmp"; "SextLoad"; "LoadSext"; "ConstBin"; "LoadLoad"; "LoadStore";
+    "BinBin"; "BinMovJmp"; "BinSext"; "BinSextMovJmp"; "GStoreGLoad";
+    "GLoadBinBin";
   |]
 
 let nops = Array.length op_names
@@ -686,27 +507,49 @@ let dispatch_counts (prof : Profile.t) : ((string * string) * int) list =
     constituent count for fused superinstructions (their handlers step
     [pc] by this much). *)
 let group_width = function
-  | PCmpConstBr _ | PBinBr _ | PStoreMovJmp _ | PLoadSxLoad _ | PBinSext _
-  | PSextMovJmp _ ->
-      3
-  | PCmpBr _ | PConstBr _ | PLoadBr _ | PMovJmp _ | PMovBr _ | PSextLoad _
-  | PLoadSext _ | PZextLoad _ | PLoadZext _ | PConstBin _ | PAddStore _
-  | PLoadLoad _ | PLoadStore _ | PStoreStore _ | PStoreJmp _ | PConstJmp _
-  | PGStoreGLoad _ ->
+  | PConstBr _ | PLoadBr _ | PMovJmp _ | PMovBr _ | PStoreJmp _ | PSextLoad _
+  | PLoadSext _ | PConstBin _ | PLoadLoad _ | PLoadStore _ | PGStoreGLoad _ ->
       2
-  | PBinBin _ | PBinMovJmp _ | PLoadSxLoadBr _ | PSxLoadBin _ | PLoad2Store2 _
-    ->
-      4
-  | PBinBinBr _ | PBinSextMovJmp _ | PGLoadBinBin _ | PBinBinRet _ -> 5
-  | PBinBinMovBr _ | PSxLoadBinLoadBr _ | PSwapJmp _ -> 6
+  | PBinSext _ -> 3
+  | PBinBin _ | PBinMovJmp _ -> 4
+  | PBinSextMovJmp _ | PGLoadBinBin _ -> 5
   | _ -> 1
 
 (* ------------------------------------------------------------------ *)
 (* Superinstruction fusion                                             *)
 (* ------------------------------------------------------------------ *)
 
+(** The fusion rules, in the order {!fusion_stats} reports them. The set
+    is profile-guided and kept only where it pays: each rule's opcodes
+    carry measurable dispatch savings on the evaluation matrix (see
+    [docs/VM.md], "Superinstructions"). Every rule but [chain] fuses a pair:
+    - [const-br]: [Const] + [Br] reading the just-written constant
+    - [load-br]: [ArrLoad] + [Br] reading the loaded value
+    - [mov-jmp]: [Mov] + [Jmp] — a loop-step block's tail
+    - [mov-br]: [Mov] + [Br] — a flag set right before the test on it
+    - [store-jmp]: [ArrStore] + [Jmp] — a store-then-loop-back tail
+    - [gstore-gload]: [GStore I32] + [GLoad I32] — a global written and
+      immediately reloaded (Numeric Sort's seed update)
+    - [sext-load]: [Sext W32] + [ArrLoad] — index extend + array address
+    - [load-sext]: [ArrLoad] + [Sext] re-extending the loaded value
+    - [const-arith]: [Const] + any int binop consuming it (arithmetic,
+      bitwise, shifts, division)
+    - [load-load], [load-store]: adjacent array accesses
+    - [chain]: a second pass merging a fused group with what follows
+      it — [ConstBin]+[ConstBin] ([BinBin]), [ConstBin]+[MovJmp]
+      ([BinMovJmp]: compress's whole loop-step block,
+      [Const; Add; Mov; Jmp], in one dispatch), [ConstBin]+[Sext W32]
+      re-extending the result ([BinSext]) and then [+MovJmp]
+      ([BinSextMovJmp]), and [GLoad I32]+[BinBin] ([GLoadBinBin],
+      Numeric Sort's random-number step). *)
+let rule_names =
+  [
+    "const-br"; "load-br"; "mov-jmp"; "mov-br"; "store-jmp"; "gstore-gload";
+    "sext-load"; "load-sext"; "const-arith"; "load-load"; "load-store"; "chain";
+  ]
+
 (* Peephole pass over the freshly laid-out [code]/[costs] arrays: rewrite
-   hot adjacent pairs/triples into fused opcodes. The rewrite is
+   hot adjacent pairs into fused opcodes. The rewrite is
    in-place and head-anchored — slot [i] becomes the fused opcode and
    the constituent slots [i+1 ..] keep their original contents, which
    simply become unreachable (the fused handler jumps past them), so
@@ -745,82 +588,26 @@ let cbin_candidate d1 op =
   | Some (_, _, _, l, r, _) as s when l = d1 || r = d1 -> s
   | _ -> None
 
-let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
-    ~(la : Bitset.t array) (code : pi array) (costs : int array) :
-    (string * int) list =
+let fuse_code ~(is_start : bool array) ~(la : Bitset.t array) (code : pi array)
+    (costs : int array) : (string * int) list =
   let n = Array.length code in
   let counts = Hashtbl.create 8 in
   let hit rule =
     Hashtbl.replace counts rule
       (1 + Option.value ~default:0 (Hashtbl.find_opt counts rule))
   in
-  let on = Fuse.enables fuse in
   (* a slot may join a group only if it exists and no branch target lands
      on it; the group head itself may be a target (execution starts at
      the first constituent either way) *)
   let free k = k < n && not is_start.(k) in
   let i = ref 0 in
   while !i < n do
-    let i1 = !i + 1 and i2 = !i + 2 in
+    let i1 = !i + 1 in
     let w =
       if not (free i1) then 1
       else
         match (code.(!i), code.(i1)) with
-        | PCmp { dst; cond; w64; l; r }, PConstI { dst = d2; v = v2 }
-          when on "cmp-br" && free i2 -> (
-            match code.(i2) with
-            | PBr b
-              when (b.bl = dst || b.bl = d2) && (b.brx = dst || b.brx = d2) ->
-                (* both branch operands are produced inside the group, so
-                   the taken edge is a fuse-time function of the compare
-                   bit (the constant shadows the compare when [d2 = dst]) *)
-                let taken bi =
-                  let v_of reg =
-                    if reg = d2 then v2 else if bi then 1L else 0L
-                  in
-                  let lv = v_of b.bl and rv = v_of b.brx in
-                  if b.bw64 then holds b.bcond (Int64.compare lv rv)
-                  else iholds b.bcond (sx32 lv) (sx32 rv)
-                in
-                code.(!i) <-
-                  PCmpConstBr
-                    {
-                      dst;
-                      cond;
-                      w64;
-                      l;
-                      r;
-                      wdst = dst <> d2 && Bitset.mem la.(i2) dst;
-                      d2;
-                      v2;
-                      wd2 = Bitset.mem la.(i2) d2;
-                      c2 = costs.(i1);
-                      c3 = costs.(i2);
-                      t1 = taken true;
-                      t0 = taken false;
-                      b;
-                    };
-                hit "cmp-br";
-                3
-            | _ -> 1)
-        | PCmp { dst; cond; w64; l; r }, PBr b
-          when on "cmp-br" && (b.bl = dst || b.brx = dst) ->
-            code.(!i) <-
-              PCmpBr
-                {
-                  dst;
-                  cond;
-                  w64;
-                  l;
-                  r;
-                  wdst = Bitset.mem la.(i1) dst;
-                  c2 = costs.(i1);
-                  b;
-                };
-            hit "cmp-br";
-            2
-        | PConstI { dst = d1; v }, PBr b
-          when on "const-br" && (b.bl = d1 || b.brx = d1) ->
+        | PConstI { dst = d1; v }, PBr b when b.bl = d1 || b.brx = d1 ->
             code.(!i) <-
               PConstBr
                 {
@@ -833,8 +620,7 @@ let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
                 };
             hit "const-br";
             2
-        | PConstI { dst = d1; v }, op2
-          when on "const-arith" && cbin_candidate d1 op2 <> None -> (
+        | PConstI { dst = d1; v }, op2 when cbin_candidate d1 op2 <> None -> (
             match cbin_candidate d1 op2 with
             | Some (k, kw, dst, l, r, ext) ->
                 code.(!i) <-
@@ -854,29 +640,21 @@ let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
                 hit "const-arith";
                 2
             | None -> assert false)
-        | PArrLoad ld, PBr b
-          when on "load-br" && (b.bl = ld.ldst || b.brx = ld.ldst) ->
+        | PArrLoad ld, PBr b when b.bl = ld.ldst || b.brx = ld.ldst ->
             code.(!i) <-
               PLoadBr
                 { ld; wdst = Bitset.mem la.(i1) ld.ldst; c2 = costs.(i1); b };
             hit "load-br";
             2
-        | PArrLoad ld, PSext32 { r }
-          when on "load-sext" && r = ld.ldst ->
+        | PArrLoad ld, PSext32 { r } when r = ld.ldst ->
             code.(!i) <- PLoadSext { ld; c2 = costs.(i1); xr = r; sh = -1 };
             hit "load-sext";
             2
-        | PArrLoad ld, PSextSub { r; sh }
-          when on "load-sext" && r = ld.ldst ->
+        | PArrLoad ld, PSextSub { r; sh } when r = ld.ldst ->
             code.(!i) <- PLoadSext { ld; c2 = costs.(i1); xr = r; sh };
             hit "load-sext";
             2
-        | PArrLoad ld, PZext { r; mask }
-          when on "load-zext" && r = ld.ldst ->
-            code.(!i) <- PLoadZext { ld; c2 = costs.(i1); xr = r; mask };
-            hit "load-zext";
-            2
-        | PMovI { dst; src; ext }, PJmp j when on "mov-jmp" ->
+        | PMovI { dst; src; ext }, PJmp j ->
             code.(!i) <-
               PMovJmp
                 {
@@ -889,7 +667,7 @@ let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
                 };
             hit "mov-jmp";
             2
-        | PMovI { dst; src; ext }, PBr b when on "mov-br" ->
+        | PMovI { dst; src; ext }, PBr b ->
             (* [la.(!i)] (live after the mov) includes the branch's own
                reads, so a mov the branch observes is always written *)
             code.(!i) <-
@@ -904,18 +682,11 @@ let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
                 };
             hit "mov-br";
             2
-        | PArrStore s, PJmp j when on "store-jmp" ->
+        | PArrStore s, PJmp j ->
             code.(!i) <- PStoreJmp { s; c2 = costs.(i1); j };
             hit "store-jmp";
             2
-        | PConstI { dst; v }, PJmp j when on "const-jmp" ->
-            code.(!i) <-
-              PConstJmp
-                { dst; v; wd1 = Bitset.mem la.(i1) dst; c2 = costs.(i1); j };
-            hit "const-jmp";
-            2
-        | PGStoreI32 { slot = sslot; src }, PGLoadI32 { dst; slot; sign; ext }
-          when on "gstore-gload" ->
+        | PGStoreI32 { slot = sslot; src }, PGLoadI32 { dst; slot; sign; ext } ->
             code.(!i) <-
               PGStoreGLoad
                 {
@@ -930,8 +701,7 @@ let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
                 };
             hit "gstore-gload";
             2
-        | PSext32 { r }, PArrLoad ld
-          when on "sext-load" && ld.lidx = r && ld.larr <> r ->
+        | PSext32 { r }, PArrLoad ld when ld.lidx = r && ld.larr <> r ->
             (* [larr <> r]: the handler substitutes the extended index
                locally and must not have the array handle alias it *)
             code.(!i) <-
@@ -944,55 +714,21 @@ let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
                 };
             hit "sext-load";
             2
-        | PZext { r; mask }, PArrLoad ld
-          when on "zext-load" && ld.lidx = r && ld.larr <> r ->
-            (* same aliasing guard as [sext-load]: the handler substitutes
-               the masked index locally *)
-            code.(!i) <-
-              PZextLoad
-                {
-                  zr = r;
-                  mask;
-                  wzr = r <> ld.ldst && Bitset.mem la.(i1) r;
-                  c2 = costs.(i1);
-                  ld;
-                };
-            hit "zext-load";
-            2
-        | PAdd { dst; l; r; ext }, PArrStore s
-          when on "add-store" && (s.ssrc = dst || s.sidx = dst) ->
-            code.(!i) <-
-              PAddStore
-                {
-                  dst;
-                  l;
-                  r;
-                  ext;
-                  wdst = Bitset.mem la.(i1) dst;
-                  c2 = costs.(i1);
-                  s;
-                };
-            hit "add-store";
-            2
-        | PArrLoad l1, PArrLoad l2 when on "load-load" ->
+        | PArrLoad l1, PArrLoad l2 ->
             code.(!i) <- PLoadLoad { l1; c2 = costs.(i1); l2 };
             hit "load-load";
             2
-        | PArrLoad ld, PArrStore s when on "load-store" ->
+        | PArrLoad ld, PArrStore s ->
             code.(!i) <- PLoadStore { ld; c2 = costs.(i1); s };
             hit "load-store";
-            2
-        | PArrStore s1, PArrStore s2 when on "store-store" ->
-            code.(!i) <- PStoreStore { s1; c2 = costs.(i1); s2 };
-            hit "store-store";
             2
         | _ -> 1
     in
     i := !i + w
   done;
   (* Second pass: chain a fused group with the group (or lone
-     terminator) that follows it, iterated to a fixpoint so a whole hot
-     basic block can collapse into one superinstruction. In-place and
+     instruction) that follows it, iterated to a fixpoint so a chained
+     group can chain again ([GLoad I32] + [BinBin]). In-place and
      head-anchored like the first pass; the second group's head slot
      must not be a branch target (its shadowed op would still execute
      correctly on entry, but fusion never crosses a target by contract).
@@ -1003,427 +739,135 @@ let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
      in-group-written register gets a fuse-time source code pointing at
      the producing constituent's local, and the write-elision flags are
      recomputed against liveness at the *end* of the merged group
-     ([la.(e)]) minus registers some later constituent overwrites — so
-     a temporary that only feeds the next instruction never touches the
+     ([la.(e)]) minus registers a later constituent overwrites — so a
+     temporary that only feeds the next instruction never touches the
      register file. *)
-  if on "chain" then begin
-    let live e q = Bitset.mem la.(e) q in
-    (* chained const-binop pair: source codes 0 reg file / 1 bin1 /
-       2 bin2 / 3 const1 / 4 const2 (5 = mov value, in the longer
-       chains); [ovr] lists registers a tail constituent overwrites *)
-    let mk_bb a hb b2 e ovr =
-      let later q = List.mem q ovr in
-      let src q =
-        if q = b2.d1 then 4
-        else if q = a.dst then 1
-        else if q = a.d1 then 3
-        else 0
+  let live e q = Bitset.mem la.(e) q in
+  let again = ref true in
+  while !again do
+    again := false;
+    let i = ref 0 in
+    while !i < n do
+      let w1 = group_width code.(!i) in
+      let ih2 = !i + w1 in
+      let w =
+        if not (free ih2) then w1
+        else
+          match (code.(!i), code.(ih2)) with
+          | PConstBin a, PConstBin b2 ->
+              let e = ih2 + 1 in
+              (* [bb] source codes: 0 reg file, 1 bin1, 3 const1, 4 const2 *)
+              let src q =
+                if q = b2.d1 then 4
+                else if q = a.dst then 1
+                else if q = a.d1 then 3
+                else 0
+              in
+              code.(!i) <-
+                PBinBin
+                  {
+                    a =
+                      {
+                        a with
+                        wd1 =
+                          a.d1 <> a.dst && a.d1 <> b2.d1 && a.d1 <> b2.dst
+                          && live e a.d1;
+                      };
+                    hb = costs.(ih2);
+                    b2 = { b2 with wd1 = b2.d1 <> b2.dst && live e b2.d1 };
+                    s2l = src b2.l;
+                    s2r = src b2.r;
+                    xw1 = a.dst <> b2.d1 && a.dst <> b2.dst && live e a.dst;
+                    xw2 = live e b2.dst;
+                  };
+              hit "chain";
+              4
+          | PConstBin a, PMovJmp m ->
+              let e = ih2 + 1 in
+              code.(!i) <-
+                PBinMovJmp
+                  {
+                    a =
+                      {
+                        a with
+                        wd1 =
+                          a.d1 <> a.dst && a.d1 <> m.mdst && live e a.d1;
+                      };
+                    xw = a.dst <> m.mdst && live e a.dst;
+                    hm = costs.(ih2);
+                    smv =
+                      (if m.msrc = a.dst then 1
+                       else if m.msrc = a.d1 then 3
+                       else 0);
+                    m = { m with mw = live e m.mdst };
+                  };
+              hit "chain";
+              4
+          | PConstBin a, PSext32 { r } when r = a.dst ->
+              code.(!i) <-
+                PBinSext
+                  {
+                    a = { a with wd1 = a.d1 <> a.dst && live ih2 a.d1 };
+                    cs = costs.(ih2);
+                    xw = live ih2 a.dst;
+                  };
+              hit "chain";
+              3
+          | PBinSext { a; cs; xw = _ }, PMovJmp m ->
+              let e = ih2 + 1 in
+              code.(!i) <-
+                PBinSextMovJmp
+                  {
+                    a =
+                      {
+                        a with
+                        wd1 =
+                          a.d1 <> a.dst && a.d1 <> m.mdst && live e a.d1;
+                      };
+                    cs;
+                    xw = a.dst <> m.mdst && live e a.dst;
+                    hm = costs.(ih2);
+                    smv =
+                      (if m.msrc = a.dst then 1
+                       else if m.msrc = a.d1 then 3
+                       else 0);
+                    m = { m with mw = live e m.mdst };
+                  };
+              hit "chain";
+              5
+          | PGLoadI32 { dst = gdst; slot; sign; ext }, PBinBin bb ->
+              let e = ih2 + 3 in
+              let a = bb.a and b2 = bb.b2 in
+              let up c q = if c = 0 && q = gdst then 6 else c in
+              code.(!i) <-
+                PGLoadBinBin
+                  {
+                    gdst;
+                    gslot = slot;
+                    gsign = sign;
+                    gext = ext;
+                    wg =
+                      gdst <> a.d1 && gdst <> a.dst && gdst <> b2.d1
+                      && gdst <> b2.dst && live e gdst;
+                    hb = costs.(ih2);
+                    sal = (if a.l = gdst then 6 else 0);
+                    sar = (if a.r = gdst then 6 else 0);
+                    bb = { bb with s2l = up bb.s2l b2.l; s2r = up bb.s2r b2.r };
+                  };
+              hit "chain";
+              5
+          | _ -> w1
       in
-      {
-        a =
-          {
-            a with
-            wd1 =
-              a.d1 <> a.dst && a.d1 <> b2.d1 && a.d1 <> b2.dst
-              && (not (later a.d1))
-              && live e a.d1;
-          };
-        hb;
-        b2 =
-          {
-            b2 with
-            wd1 = b2.d1 <> b2.dst && (not (later b2.d1)) && live e b2.d1;
-          };
-        s2l = src b2.l;
-        s2r = src b2.r;
-        xw1 =
-          a.dst <> b2.d1 && a.dst <> b2.dst
-          && (not (later a.dst))
-          && live e a.dst;
-        xw2 = (not (later b2.dst)) && live e b2.dst;
-      }
-    in
-    let again = ref true in
-    while !again do
-      again := false;
-      let i = ref 0 in
-      while !i < n do
-        let w1 = group_width code.(!i) in
-        let ih2 = !i + w1 in
-        let w =
-          if not (free ih2) then w1
-          else
-            match (code.(!i), code.(ih2)) with
-            | PConstBin a, PConstBin b2 ->
-                code.(!i) <- PBinBin (mk_bb a costs.(ih2) b2 (ih2 + 1) []);
-                hit "chain";
-                4
-            | PConstBin a, PMovJmp m ->
-                let e = ih2 + 1 in
-                code.(!i) <-
-                  PBinMovJmp
-                    {
-                      a =
-                        {
-                          a with
-                          wd1 =
-                            a.d1 <> a.dst && a.d1 <> m.mdst && live e a.d1;
-                        };
-                      xw = a.dst <> m.mdst && live e a.dst;
-                      hm = costs.(ih2);
-                      smv =
-                        (if m.msrc = a.dst then 1
-                         else if m.msrc = a.d1 then 3
-                         else 0);
-                      m = { m with mw = live e m.mdst };
-                    };
-                hit "chain";
-                4
-            | PConstBin a, PBr b ->
-                let e = ih2 in
-                let sb q =
-                  if q = a.dst then 1 else if q = a.d1 then 3 else 0
-                in
-                code.(!i) <-
-                  PBinBr
-                    {
-                      a = { a with wd1 = a.d1 <> a.dst && live e a.d1 };
-                      xw = live e a.dst;
-                      cb = costs.(ih2);
-                      sbl = sb b.bl;
-                      sbr = sb b.brx;
-                      b;
-                    };
-                hit "chain";
-                3
-            | PArrStore s, PMovJmp m ->
-                code.(!i) <- PStoreMovJmp { s; hm = costs.(ih2); m };
-                hit "chain";
-                3
-            | PBinBin bb0, PBr b ->
-                let e = ih2 in
-                let a = bb0.a and b2 = bb0.b2 in
-                let sb q =
-                  if q = b2.dst then 2
-                  else if q = b2.d1 then 4
-                  else if q = a.dst then 1
-                  else if q = a.d1 then 3
-                  else 0
-                in
-                code.(!i) <-
-                  PBinBinBr
-                    {
-                      bb = mk_bb a bb0.hb b2 e [];
-                      cb = costs.(ih2);
-                      sbl = sb b.bl;
-                      sbr = sb b.brx;
-                      b;
-                    };
-                hit "chain";
-                5
-            | PBinBin bb0, PMovBr m ->
-                let e = ih2 + 1 in
-                let a = bb0.a and b2 = bb0.b2 in
-                let smv_of q =
-                  if q = b2.dst then 2
-                  else if q = b2.d1 then 4
-                  else if q = a.dst then 1
-                  else if q = a.d1 then 3
-                  else 0
-                in
-                let sb q = if q = m.vdst then 5 else smv_of q in
-                code.(!i) <-
-                  PBinBinMovBr
-                    {
-                      bb = mk_bb a bb0.hb b2 e [ m.vdst ];
-                      hm = costs.(ih2);
-                      smv = smv_of m.vsrc;
-                      m = { m with vw = live e m.vdst };
-                      sbl = sb m.vb.bl;
-                      sbr = sb m.vb.brx;
-                    };
-                hit "chain";
-                6
-            | PArrLoad l1, PSextLoad sx
-              when sx.sr <> sx.ld.ldst && l1.ldst <> sx.ld.ldst
-                   && sx.ld.larr <> l1.ldst ->
-                let e = ih2 + 1 in
-                code.(!i) <-
-                  PLoadSxLoad
-                    {
-                      l1;
-                      w1 = l1.ldst <> sx.sr && live e l1.ldst;
-                      cs = costs.(ih2);
-                      sr = sx.sr;
-                      wsr = live e sx.sr;
-                      f1 = sx.sr = l1.ldst;
-                      cl = sx.c2;
-                      l2 = sx.ld;
-                    };
-                hit "chain";
-                3
-            | PLoadSxLoad z, PBr b when z.l1.ldst <> z.l2.ldst ->
-                let e = ih2 in
-                let sb q =
-                  if q = z.l2.ldst then 3
-                  else if q = z.sr then 2
-                  else if q = z.l1.ldst then 1
-                  else 0
-                in
-                code.(!i) <-
-                  PLoadSxLoadBr
-                    {
-                      l1 = z.l1;
-                      w1 = z.l1.ldst <> z.sr && live e z.l1.ldst;
-                      cs = z.cs;
-                      sr = z.sr;
-                      wsr = live e z.sr;
-                      f1 = z.f1;
-                      cl = z.cl;
-                      l2 = z.l2;
-                      w2 = live e z.l2.ldst;
-                      cb = costs.(ih2);
-                      sbl = sb b.bl;
-                      sbr = sb b.brx;
-                      b;
-                    };
-                hit "chain";
-                4
-            | PSextLoad sx, PConstBin cb when sx.sr <> sx.ld.ldst ->
-                let e = ih2 + 1 in
-                let src q =
-                  if q = cb.d1 then 4
-                  else if q = sx.ld.ldst then 1
-                  else if q = sx.sr then 2
-                  else 0
-                in
-                code.(!i) <-
-                  PSxLoadBin
-                    {
-                      sr = sx.sr;
-                      wsr =
-                        sx.sr <> cb.d1 && sx.sr <> cb.dst && live e sx.sr;
-                      cl = sx.c2;
-                      ld = sx.ld;
-                      w1 =
-                        sx.ld.ldst <> cb.d1 && sx.ld.ldst <> cb.dst
-                        && live e sx.ld.ldst;
-                      hb = costs.(ih2);
-                      a = { cb with wd1 = cb.d1 <> cb.dst && live e cb.d1 };
-                      s2l = src cb.l;
-                      s2r = src cb.r;
-                      xw = live e cb.dst;
-                    };
-                hit "chain";
-                4
-            | PSxLoadBin y, PLoadBr lb
-              when lb.ld.ldst <> y.sr && lb.ld.ldst <> y.ld.ldst
-                   && lb.ld.ldst <> y.a.d1 && lb.ld.ldst <> y.a.dst
-                   && lb.ld.larr <> y.sr && lb.ld.larr <> y.ld.ldst
-                   && lb.ld.larr <> y.a.d1 && lb.ld.larr <> y.a.dst ->
-                let e = ih2 + 1 in
-                let src q =
-                  if q = y.a.dst then 3
-                  else if q = y.a.d1 then 4
-                  else if q = y.ld.ldst then 1
-                  else if q = y.sr then 2
-                  else 0
-                in
-                let sb q = if q = lb.ld.ldst then 5 else src q in
-                code.(!i) <-
-                  PSxLoadBinLoadBr
-                    {
-                      sr = y.sr;
-                      wsr =
-                        y.sr <> y.a.d1 && y.sr <> y.a.dst && live e y.sr;
-                      cl = y.cl;
-                      ld = y.ld;
-                      w1 =
-                        y.ld.ldst <> y.a.d1 && y.ld.ldst <> y.a.dst
-                        && live e y.ld.ldst;
-                      hb = y.hb;
-                      a = { y.a with wd1 = y.a.d1 <> y.a.dst && live e y.a.d1 };
-                      s2l = y.s2l;
-                      s2r = y.s2r;
-                      xw = live e y.a.dst;
-                      hl = costs.(ih2);
-                      ld2 = lb.ld;
-                      w2 = live e lb.ld.ldst;
-                      si = src lb.ld.lidx;
-                      cb = lb.c2;
-                      sbl = sb lb.b.bl;
-                      sbr = sb lb.b.brx;
-                      b = lb.b;
-                    };
-                hit "chain";
-                6
-            | PLoadLoad ll, PStoreStore ss when ll.l1.ldst <> ll.l2.ldst ->
-                let e = ih2 + 1 in
-                let d1 = ll.l1.ldst and d2 = ll.l2.ldst in
-                let unf1 =
-                  d1 = ll.l2.larr || d1 = ll.l2.lidx || d1 = ss.s1.sarr
-                  || d1 = ss.s1.sidx || d1 = ss.s2.sarr || d1 = ss.s2.sidx
-                in
-                let unf2 =
-                  d2 = ss.s1.sarr || d2 = ss.s1.sidx || d2 = ss.s2.sarr
-                  || d2 = ss.s2.sidx
-                in
-                let zc q = if q = d2 then 2 else if q = d1 then 1 else 0 in
-                let zr (s : ast) z =
-                  (z = 1 && s.selem = ll.l1.lelem)
-                  || (z = 2 && s.selem = ll.l2.lelem)
-                in
-                let z1 = zc ss.s1.ssrc and z2 = zc ss.s2.ssrc in
-                code.(!i) <-
-                  PLoad2Store2
-                    {
-                      l1 = ll.l1;
-                      w1 = unf1 || live e d1;
-                      c2 = ll.c2;
-                      l2 = ll.l2;
-                      w2 = unf2 || live e d2;
-                      c3 = costs.(ih2);
-                      s1 = ss.s1;
-                      z1;
-                      zr1 = zr ss.s1 z1;
-                      c4 = ss.c2;
-                      s2 = ss.s2;
-                      z2;
-                      zr2 = zr ss.s2 z2;
-                    };
-                hit "chain";
-                4
-            | PLoad2Store2 t, PMovJmp m ->
-                let e = ih2 + 1 in
-                let d1 = t.l1.ldst and d2 = t.l2.ldst in
-                let unf1 =
-                  d1 = t.l2.larr || d1 = t.l2.lidx || d1 = t.s1.sarr
-                  || d1 = t.s1.sidx || d1 = t.s2.sarr || d1 = t.s2.sidx
-                in
-                let unf2 =
-                  d2 = t.s1.sarr || d2 = t.s1.sidx || d2 = t.s2.sarr
-                  || d2 = t.s2.sidx
-                in
-                code.(!i) <-
-                  PSwapJmp
-                    {
-                      l1 = t.l1;
-                      w1 = unf1 || (d1 <> m.mdst && live e d1);
-                      c2 = t.c2;
-                      l2 = t.l2;
-                      w2 = unf2 || (d2 <> m.mdst && live e d2);
-                      c3 = t.c3;
-                      s1 = t.s1;
-                      z1 = t.z1;
-                      zr1 = t.zr1;
-                      c4 = t.c4;
-                      s2 = t.s2;
-                      z2 = t.z2;
-                      zr2 = t.zr2;
-                      hm = costs.(ih2);
-                      smv =
-                        (if m.msrc = d2 then 2
-                         else if m.msrc = d1 then 1
-                         else 0);
-                      m = { m with mw = live e m.mdst };
-                    };
-                hit "chain";
-                6
-            | PConstBin a, PSext32 { r } when r = a.dst ->
-                code.(!i) <-
-                  PBinSext
-                    {
-                      a = { a with wd1 = a.d1 <> a.dst && live ih2 a.d1 };
-                      cs = costs.(ih2);
-                      xw = live ih2 a.dst;
-                    };
-                hit "chain";
-                3
-            | PBinSext { a; cs; xw = _ }, PMovJmp m ->
-                let e = ih2 + 1 in
-                code.(!i) <-
-                  PBinSextMovJmp
-                    {
-                      a =
-                        {
-                          a with
-                          wd1 =
-                            a.d1 <> a.dst && a.d1 <> m.mdst && live e a.d1;
-                        };
-                      cs;
-                      xw = a.dst <> m.mdst && live e a.dst;
-                      hm = costs.(ih2);
-                      smv =
-                        (if m.msrc = a.dst then 1
-                         else if m.msrc = a.d1 then 3
-                         else 0);
-                      m = { m with mw = live e m.mdst };
-                    };
-                hit "chain";
-                5
-            | PSext32 { r }, PMovJmp m ->
-                let e = ih2 + 1 in
-                code.(!i) <-
-                  PSextMovJmp
-                    {
-                      xr = r;
-                      xw = r <> m.mdst && live e r;
-                      hm = costs.(ih2);
-                      smv = (if m.msrc = r then 1 else 0);
-                      m = { m with mw = live e m.mdst };
-                    };
-                hit "chain";
-                3
-            | PGLoadI32 { dst = gdst; slot; sign; ext }, PBinBin bb ->
-                let e = ih2 + 3 in
-                let a = bb.a and b2 = bb.b2 in
-                let up c q = if c = 0 && q = gdst then 6 else c in
-                code.(!i) <-
-                  PGLoadBinBin
-                    {
-                      gdst;
-                      gslot = slot;
-                      gsign = sign;
-                      gext = ext;
-                      wg =
-                        gdst <> a.d1 && gdst <> a.dst && gdst <> b2.d1
-                        && gdst <> b2.dst && live e gdst;
-                      hb = costs.(ih2);
-                      sal = (if a.l = gdst then 6 else 0);
-                      sar = (if a.r = gdst then 6 else 0);
-                      bb = { bb with s2l = up bb.s2l b2.l; s2r = up bb.s2r b2.r };
-                    };
-                hit "chain";
-                5
-            | PBinBin bb0, PRetI { r } ->
-                code.(!i) <-
-                  PBinBinRet
-                    {
-                      bb = mk_bb bb0.a bb0.hb bb0.b2 ih2 [];
-                      cr = costs.(ih2);
-                      r;
-                      sr =
-                        (if r = bb0.b2.dst then 2
-                         else if r = bb0.b2.d1 then 4
-                         else if r = bb0.a.dst then 1
-                         else if r = bb0.a.d1 then 3
-                         else 0);
-                    };
-                hit "chain";
-                5
-            | _ -> w1
-        in
-        if w <> w1 then again := true;
-        i := !i + w
-      done
+      if w <> w1 then again := true;
+      i := !i + w
     done
-  end;
+  done;
   List.filter_map
     (fun rule ->
       match Hashtbl.find_opt counts rule with
       | Some c -> Some (rule, c)
       | None -> None)
-    Fuse.rule_names
+    rule_names
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
@@ -1489,7 +933,7 @@ let fslot_count () =
 
 let pack_reg (r, ty) = (r lsl 1) lor (match ty with F64 -> 1 | _ -> 0)
 
-let decode ?(fuse = Fuse.Off) ~(canonical : bool) (f : Cfg.func) : pfunc =
+let decode ?(fused = true) ~(canonical : bool) (f : Cfg.func) : pfunc =
   let nregs = Cfg.num_regs f in
   (* the canonical machine re-extends I32 destinations ([Interp]'s
      [set_i]); out-of-range destinations keep [ext = false] so the
@@ -1660,7 +1104,7 @@ let decode ?(fuse = Fuse.Off) ~(canonical : bool) (f : Cfg.func) : pfunc =
         emit (match ty with F64 -> PRetF { r } | _ -> PRetI { r }) tc
   done;
   let fstats =
-    if fuse = Fuse.Off then []
+    if not fused then []
     else begin
       let is_start = Array.make (max !total 1) false in
       for bid = 0 to nb - 1 do
@@ -1681,7 +1125,7 @@ let decode ?(fuse = Fuse.Off) ~(canonical : bool) (f : Cfg.func) : pfunc =
           (Sxe_analysis.Liveness.live_after_each live bid);
         la.(!s) <- Sxe_analysis.Liveness.live_out live bid
       done;
-      fuse_code ~fuse ~is_start ~la code costs
+      fuse_code ~is_start ~la code costs
     end
   in
   {
@@ -1733,20 +1177,18 @@ let disasm (p : pfunc) : string =
 (* The per-function decode cache                                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Cached decoded images, one per (mode, fusion selection) — a tiny
-    association list: a process rarely uses more than faithful/canonical
-    times fused/unfused. Keyed by the function's generation counter, so
-    any mutation through the {!Cfg} API drops every image; keyed by the
-    fusion selection, so changing [SXE_FUSE] (or an explicit [~fuse])
-    between runs can never serve a stale image. *)
+(** Cached decoded images, one per (canonical, fused) pair — a tiny
+    association list of at most four entries. Keyed by the function's
+    generation counter, so any mutation through the {!Cfg} API drops
+    every image. *)
 type entry = {
   mutable eversion : int;
-  mutable images : ((bool * string) * pfunc) list;
+  mutable images : ((bool * bool) * pfunc) list;
 }
 
 type Cfg.vm_cache += Cached of entry
 
-let get_decoded ?(fuse = Fuse.Off) ~canonical (f : Cfg.func) : pfunc =
+let get_decoded ?(fused = true) ~canonical (f : Cfg.func) : pfunc =
   let e =
     match f.Cfg.vm_cache with
     | Some (Cached e) ->
@@ -1761,11 +1203,11 @@ let get_decoded ?(fuse = Fuse.Off) ~canonical (f : Cfg.func) : pfunc =
         f.Cfg.vm_cache <- Some (Cached e);
         e
   in
-  let key = (canonical, Fuse.key fuse) in
+  let key = (canonical, fused) in
   match List.assoc_opt key e.images with
   | Some p -> p
   | None ->
-      let p = decode ~fuse ~canonical f in
+      let p = decode ~fused ~canonical f in
       e.images <- (key, p) :: e.images;
       p
 
@@ -1776,7 +1218,7 @@ let get_decoded ?(fuse = Fuse.Off) ~canonical (f : Cfg.func) : pfunc =
 type state = {
   prog : Prog.t;
   canonical : bool;
-  fuse : Fuse.selection;
+  fused : bool;
   mutable depth : int;
   heap : cell option Vec.t;
   mutable gvi : int64 array;  (** dense global stores, indexed by [gslot] *)
@@ -1807,7 +1249,7 @@ let resolve_slow st fn fid =
   (* [find_func] raises [Invalid_argument] for a missing function,
      which escapes the run as a crash — same as the structural engine *)
   let p =
-    get_decoded ~fuse:st.fuse ~canonical:st.canonical (Prog.find_func st.prog fn)
+    get_decoded ~fused:st.fused ~canonical:st.canonical (Prog.find_func st.prog fn)
   in
   if fid >= Array.length st.fcache then begin
     let ng = Array.make (max (fid + 1) ((2 * Array.length st.fcache) + 4)) None in
@@ -1923,11 +1365,8 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
          pair is not a fusion candidate *)
       prev :=
         (match op with
-        | PJmp _ | PBr _ | PRet0 | PRetI _ | PRetF _ | PCmpBr _ | PCmpConstBr _
-        | PConstBr _ | PLoadBr _ | PMovJmp _ | PBinBr _ | PBinMovJmp _
-        | PStoreMovJmp _ | PMovBr _ | PBinBinBr _ | PBinBinMovBr _
-        | PLoadSxLoadBr _ | PSxLoadBinLoadBr _ | PSwapJmp _ | PStoreJmp _
-        | PConstJmp _ | PBinSextMovJmp _ | PSextMovJmp _ | PBinBinRet _ ->
+        | PJmp _ | PBr _ | PRet0 | PRetI _ | PRetF _ | PConstBr _ | PLoadBr _
+        | PMovJmp _ | PMovBr _ | PStoreJmp _ | PBinMovJmp _ | PBinSextMovJmp _ ->
             -1
         | _ -> id)
     end;
@@ -2161,62 +1600,6 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
        write entirely when liveness proved it dead (see [fuse_code]).
        Straight-line groups step [pc] past the shadowed constituent
        slots; groups ending in a control transfer set it absolutely. *)
-    | PCmpBr { dst; cond; w64; l; r; wdst; c2; b } ->
-        let bi =
-          if w64 then holds cond (Int64.compare ri.(l) ri.(r))
-          else iholds cond (sx32 ri.(l)) (sx32 ri.(r))
-        in
-        if wdst then ri.(dst) <- (if bi then 1L else 0L);
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let taken =
-          if b.bw64 then
-            let dv = if bi then 1L else 0L in
-            let lv = if b.bl = dst then dv else ri.(b.bl) in
-            let rv = if b.brx = dst then dv else ri.(b.brx) in
-            holds b.bcond (Int64.compare lv rv)
-          else
-            let dv = if bi then 1 else 0 in
-            let lv = if b.bl = dst then dv else sx32 ri.(b.bl) in
-            let rv = if b.brx = dst then dv else sx32 ri.(b.brx) in
-            iholds b.bcond lv rv
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
-    | PCmpConstBr { dst; cond; w64; l; r; wdst; d2; v2; wd2; c2; c3; t1; t0; b }
-      ->
-        let bi =
-          if w64 then holds cond (Int64.compare ri.(l) ri.(r))
-          else iholds cond (sx32 ri.(l)) (sx32 ri.(r))
-        in
-        if wdst then ri.(dst) <- (if bi then 1L else 0L);
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        if wd2 then ri.(d2) <- v2;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c3;
-        let taken = if bi then t1 else t0 in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
     | PConstBr { d1; v; cvi; wd1; c2; b } ->
         if wd1 then ri.(d1) <- v;
         st.executed <- st.executed + 1;
@@ -2303,6 +1686,31 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           ignore (Cfg.block p.src mj.jdst);
           assert false
         end
+    | PMovBr { vdst; vsrc; vext; vw; vc2; vb = b } ->
+        let mv =
+          let v = ri.(vsrc) in
+          if vext then Eval.sext32 v else v
+        in
+        if vw then ri.(vdst) <- mv;
+        st.executed <- st.executed + 1;
+        if st.executed > fuel then raise (Trap "fuel-exhausted");
+        st.cycles <- st.cycles + vc2;
+        let lv = if b.bl = vdst then mv else ri.(b.bl) in
+        let rv = if b.brx = vdst then mv else ri.(b.brx) in
+        let taken =
+          if b.bw64 then holds b.bcond (Int64.compare lv rv)
+          else iholds b.bcond (sx32 lv) (sx32 rv)
+        in
+        let t_off = if taken then b.bso else b.bno in
+        let t_bid = if taken then b.bsob else b.bnob in
+        (match st.profile with
+        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
+        | None -> ());
+        if t_off >= 0 then pc := t_off
+        else begin
+          ignore (Cfg.block p.src t_bid);
+          assert false
+        end
     | PStoreJmp { s; c2; j } ->
         (let cell = arr_cell st ri.(s.sarr) in
          let k = checked_index st ri.(s.sidx) (cell_len cell) in
@@ -2310,19 +1718,6 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
          | IArr { data; _ } -> data.(k) <- elem_store s.selem ri.(s.ssrc)
          | FArr d -> d.(k) <- rf.(s.ssrc)
          | RArr d -> d.(k) <- Int64.to_int ri.(s.ssrc));
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:j.jsrc ~dst:j.jdst
-        | None -> ());
-        if j.joff >= 0 then pc := j.joff
-        else begin
-          ignore (Cfg.block p.src j.jdst);
-          assert false
-        end
-    | PConstJmp { dst; v; wd1; c2; j } ->
-        if wd1 then ri.(dst) <- v;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
@@ -2405,64 +1800,6 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
               ri.(xr) <- Int64.shift_right (Int64.shift_left v sh) sh
             end);
         incr pc
-    | PZextLoad { zr; mask; wzr; c2; ld } ->
-        if Int64.equal mask 0xFFFF_FFFFL then st.zext32 <- st.zext32 + 1
-        else st.zext_sub <- st.zext_sub + 1;
-        let zv = Int64.logand ri.(zr) mask in
-        if wzr then ri.(zr) <- zv;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let cell = arr_cell st ri.(ld.larr) in
-        let xi = sx32 zv in
-        if xi < 0 || xi >= cell_len cell then
-          raise (Trap "array-index-out-of-bounds");
-        (* the index was just masked: non-negative ⇒ full = low32, so the
-           wild-access check can never fire — index directly *)
-        (match cell with
-        | IArr { data; _ } ->
-            let v = elem_load ld.lelem ld.llext data.(xi) in
-            ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v)
-        | FArr d -> rf.(ld.ldst) <- d.(xi)
-        | RArr d ->
-            let v = Int64.of_int d.(xi) in
-            ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v));
-        incr pc
-    | PLoadZext { ld; c2; xr; mask } ->
-        let cell = arr_cell st ri.(ld.larr) in
-        let k = checked_index st ri.(ld.lidx) (cell_len cell) in
-        (match cell with
-        | IArr { data; _ } ->
-            let v = elem_load ld.lelem ld.llext data.(k) in
-            let v = if ld.lsx then Eval.sext32 v else v in
-            st.executed <- st.executed + 1;
-            if st.executed > fuel then raise (Trap "fuel-exhausted");
-            st.cycles <- st.cycles + c2;
-            (* [xr = ld.ldst]: the load's write is overwritten by the
-               truncation before any observation point — write once *)
-            if Int64.equal mask 0xFFFF_FFFFL then st.zext32 <- st.zext32 + 1
-            else st.zext_sub <- st.zext_sub + 1;
-            ri.(xr) <- Int64.logand v mask
-        | FArr d ->
-            rf.(ld.ldst) <- d.(k);
-            st.executed <- st.executed + 1;
-            if st.executed > fuel then raise (Trap "fuel-exhausted");
-            st.cycles <- st.cycles + c2;
-            (* float load: the zext reads the untouched int register,
-               exactly as the unfused sequence does *)
-            if Int64.equal mask 0xFFFF_FFFFL then st.zext32 <- st.zext32 + 1
-            else st.zext_sub <- st.zext_sub + 1;
-            ri.(xr) <- Int64.logand ri.(xr) mask
-        | RArr d ->
-            let v = Int64.of_int d.(k) in
-            let v = if ld.lsx then Eval.sext32 v else v in
-            st.executed <- st.executed + 1;
-            if st.executed > fuel then raise (Trap "fuel-exhausted");
-            st.cycles <- st.cycles + c2;
-            if Int64.equal mask 0xFFFF_FFFFL then st.zext32 <- st.zext32 + 1
-            else st.zext_sub <- st.zext_sub + 1;
-            ri.(xr) <- Int64.logand v mask);
-        incr pc
     | PConstBin { d1; v; wd1; k; kw; dst; l; r; ext; c2 } ->
         if wd1 then ri.(d1) <- v;
         st.executed <- st.executed + 1;
@@ -2474,27 +1811,6 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           bin_eval st.canonical k kw lv rv
         in
         ri.(dst) <- (if ext then Eval.sext32 v2 else v2);
-        incr pc
-    | PAddStore { dst; l; r; ext; wdst; c2; s } ->
-        let v = Int64.add ri.(l) ri.(r) in
-        let v = if ext then Eval.sext32 v else v in
-        if wdst then ri.(dst) <- v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let cell = arr_cell st (if s.sarr = dst then v else ri.(s.sarr)) in
-        let k =
-          checked_index st
-            (if s.sidx = dst then v else ri.(s.sidx))
-            (cell_len cell)
-        in
-        (match cell with
-        | IArr { data; _ } ->
-            data.(k) <-
-              elem_store s.selem (if s.ssrc = dst then v else ri.(s.ssrc))
-        | FArr d -> d.(k) <- rf.(s.ssrc)
-        | RArr d ->
-            d.(k) <- Int64.to_int (if s.ssrc = dst then v else ri.(s.ssrc)));
         incr pc
     (* Adjacent-array-access pairs: no data-dependency conditions, so
        both constituents execute verbatim — only the dispatch between
@@ -2545,28 +1861,21 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
          | FArr d -> d.(k) <- rf.(s.ssrc)
          | RArr d -> d.(k) <- Int64.to_int ri.(s.ssrc));
         incr pc
-    | PStoreStore { s1; c2; s2 } ->
-        (let cell = arr_cell st ri.(s1.sarr) in
-         let k = checked_index st ri.(s1.sidx) (cell_len cell) in
-         match cell with
-         | IArr { data; _ } -> data.(k) <- elem_store s1.selem ri.(s1.ssrc)
-         | FArr d -> d.(k) <- rf.(s1.ssrc)
-         | RArr d -> d.(k) <- Int64.to_int ri.(s1.ssrc));
+    | PGStoreGLoad { sslot; src; c2; ldst; lslot; lsign; lext; wl } ->
+        gstore_i st sslot (Eval.zext32 ri.(src));
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
-        (let cell = arr_cell st ri.(s2.sarr) in
-         let k = checked_index st ri.(s2.sidx) (cell_len cell) in
-         match cell with
-         | IArr { data; _ } -> data.(k) <- elem_store s2.selem ri.(s2.ssrc)
-         | FArr d -> d.(k) <- rf.(s2.ssrc)
-         | RArr d -> d.(k) <- Int64.to_int ri.(s2.ssrc));
+        let g = st.gvi in
+        let cell = if lslot < Array.length g then g.(lslot) else 0L in
+        let v = if lsign then Eval.sext32 cell else Eval.zext32 cell in
+        if wl then ri.(ldst) <- (if lext then Eval.sext32 v else v);
         incr pc
-    (* Chained superinstructions. Each embedded payload executes exactly
-       as its own handler would (same writes, same elisions — a write
-       skipped by a [w*] flag is dead downstream, so the tail's register
-       reads are unaffected), with the second group's head accounting
-       step in between. *)
+    (* Chained superinstructions. Constituents run in program order with
+       the accounting steps above between them; a value produced earlier
+       in the group is read from its local (the fuse-time source codes),
+       so the [w*] flags, computed against liveness at the end of the
+       group, skip intermediate register writes. *)
     | PBinBin { a; hb; b2; s2l; s2r; xw1; xw2 } ->
         if a.wd1 then ri.(a.d1) <- a.v;
         st.executed <- st.executed + 1;
@@ -2597,6 +1906,36 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         in
         if xw2 then ri.(b2.dst) <- (if b2.ext then Eval.sext32 bv else bv);
         pc := !pc + 3
+    | PBinMovJmp { a; xw; hm; smv; m } ->
+        if a.wd1 then ri.(a.d1) <- a.v;
+        st.executed <- st.executed + 1;
+        if st.executed > fuel then raise (Trap "fuel-exhausted");
+        st.cycles <- st.cycles + a.c2;
+        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
+        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
+        let av =
+          bin_eval st.canonical a.k a.kw lv rv
+        in
+        let v1 = if a.ext then Eval.sext32 av else av in
+        if xw then ri.(a.dst) <- v1;
+        st.executed <- st.executed + 1;
+        if st.executed > fuel then raise (Trap "fuel-exhausted");
+        st.cycles <- st.cycles + hm;
+        if m.mw then begin
+          let v = match smv with 1 -> v1 | 3 -> a.v | _ -> ri.(m.msrc) in
+          ri.(m.mdst) <- (if m.mext then Eval.sext32 v else v)
+        end;
+        st.executed <- st.executed + 1;
+        if st.executed > fuel then raise (Trap "fuel-exhausted");
+        st.cycles <- st.cycles + m.mc2;
+        (match st.profile with
+        | Some prof -> Profile.record prof p.fname ~src:m.mj.jsrc ~dst:m.mj.jdst
+        | None -> ());
+        if m.mj.joff >= 0 then pc := m.mj.joff
+        else begin
+          ignore (Cfg.block p.src m.mj.jdst);
+          assert false
+        end
     | PBinSext { a; cs; xw } ->
         if a.wd1 then ri.(a.d1) <- a.v;
         st.executed <- st.executed + 1;
@@ -2647,38 +1986,6 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           ignore (Cfg.block p.src m.mj.jdst);
           assert false
         end
-    | PSextMovJmp { xr; xw; hm; smv; m } ->
-        st.sext32 <- st.sext32 + 1;
-        let xi = sx32 ri.(xr) in
-        if xw then ri.(xr) <- Int64.of_int xi;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hm;
-        if m.mw then begin
-          let v = if smv = 1 then Int64.of_int xi else ri.(m.msrc) in
-          ri.(m.mdst) <- (if m.mext then Eval.sext32 v else v)
-        end;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + m.mc2;
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:m.mj.jsrc ~dst:m.mj.jdst
-        | None -> ());
-        if m.mj.joff >= 0 then pc := m.mj.joff
-        else begin
-          ignore (Cfg.block p.src m.mj.jdst);
-          assert false
-        end
-    | PGStoreGLoad { sslot; src; c2; ldst; lslot; lsign; lext; wl } ->
-        gstore_i st sslot (Eval.zext32 ri.(src));
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let g = st.gvi in
-        let cell = if lslot < Array.length g then g.(lslot) else 0L in
-        let v = if lsign then Eval.sext32 cell else Eval.zext32 cell in
-        if wl then ri.(ldst) <- (if lext then Eval.sext32 v else v);
-        incr pc
     | PGLoadBinBin
         {
           gdst;
@@ -2738,792 +2045,6 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         let bv = bin_eval st.canonical b2.k b2.kw lv rv in
         if xw2 then ri.(b2.dst) <- (if b2.ext then Eval.sext32 bv else bv);
         pc := !pc + 4
-    | PBinBinRet { bb = { a; hb; b2; s2l; s2r; xw1; xw2 }; cr; r; sr } ->
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
-        let av = bin_eval st.canonical a.k a.kw lv rv in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw1 then ri.(a.dst) <- v1;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hb;
-        if b2.wd1 then ri.(b2.d1) <- b2.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + b2.c2;
-        let lv =
-          match s2l with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.l)
-        in
-        let rv =
-          match s2r with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.r)
-        in
-        let bv = bin_eval st.canonical b2.k b2.kw lv rv in
-        let v2 = if b2.ext then Eval.sext32 bv else bv in
-        if xw2 then ri.(b2.dst) <- v2;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cr;
-        st.ret_kind <- 1;
-        st.ret_i <-
-          (match sr with
-          | 1 -> v1
-          | 2 -> v2
-          | 3 -> a.v
-          | 4 -> b2.v
-          | _ -> ri.(r));
-        running := false
-    | PBinBr { a; xw; cb; sbl; sbr; b } ->
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
-        let av =
-          bin_eval st.canonical a.k a.kw lv rv
-        in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw then ri.(a.dst) <- v1;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cb;
-        let lv = match sbl with 1 -> v1 | 3 -> a.v | _ -> ri.(b.bl) in
-        let rv = match sbr with 1 -> v1 | 3 -> a.v | _ -> ri.(b.brx) in
-        let taken =
-          if b.bw64 then holds b.bcond (Int64.compare lv rv)
-          else iholds b.bcond (sx32 lv) (sx32 rv)
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
-    | PBinMovJmp { a; xw; hm; smv; m } ->
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
-        let av =
-          bin_eval st.canonical a.k a.kw lv rv
-        in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw then ri.(a.dst) <- v1;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hm;
-        if m.mw then begin
-          let v = match smv with 1 -> v1 | 3 -> a.v | _ -> ri.(m.msrc) in
-          ri.(m.mdst) <- (if m.mext then Eval.sext32 v else v)
-        end;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + m.mc2;
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:m.mj.jsrc ~dst:m.mj.jdst
-        | None -> ());
-        if m.mj.joff >= 0 then pc := m.mj.joff
-        else begin
-          ignore (Cfg.block p.src m.mj.jdst);
-          assert false
-        end
-    | PStoreMovJmp { s; hm; m } ->
-        (let cell = arr_cell st ri.(s.sarr) in
-         let k = checked_index st ri.(s.sidx) (cell_len cell) in
-         match cell with
-         | IArr { data; _ } -> data.(k) <- elem_store s.selem ri.(s.ssrc)
-         | FArr d -> d.(k) <- rf.(s.ssrc)
-         | RArr d -> d.(k) <- Int64.to_int ri.(s.ssrc));
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hm;
-        if m.mw then begin
-          let v = ri.(m.msrc) in
-          ri.(m.mdst) <- (if m.mext then Eval.sext32 v else v)
-        end;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + m.mc2;
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:m.mj.jsrc ~dst:m.mj.jdst
-        | None -> ());
-        if m.mj.joff >= 0 then pc := m.mj.joff
-        else begin
-          ignore (Cfg.block p.src m.mj.jdst);
-          assert false
-        end
-    (* Block-shaped superinstructions. Constituent effects and
-       accounting steps run in program order exactly as above; the
-       difference is that every in-group register read of an in-group
-       value goes through a fuse-time source code into a local, so the
-       [w*] write flags — computed against liveness at the end of the
-       group — can skip most intermediate register-file writes. A
-       float-typed cell at run time leaves the loaded local holding the
-       stale integer register, exactly what the structural engine's
-       int-register reads would see. *)
-    | PMovBr { vdst; vsrc; vext; vw; vc2; vb = b } ->
-        let mv =
-          let v = ri.(vsrc) in
-          if vext then Eval.sext32 v else v
-        in
-        if vw then ri.(vdst) <- mv;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + vc2;
-        let lv = if b.bl = vdst then mv else ri.(b.bl) in
-        let rv = if b.brx = vdst then mv else ri.(b.brx) in
-        let taken =
-          if b.bw64 then holds b.bcond (Int64.compare lv rv)
-          else iholds b.bcond (sx32 lv) (sx32 rv)
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
-    | PBinBinBr { bb = { a; hb; b2; s2l; s2r; xw1; xw2 }; cb; sbl; sbr; b }
-      ->
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
-        let av =
-          bin_eval st.canonical a.k a.kw lv rv
-        in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw1 then ri.(a.dst) <- v1;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hb;
-        if b2.wd1 then ri.(b2.d1) <- b2.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + b2.c2;
-        let lv =
-          match s2l with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.l)
-        in
-        let rv =
-          match s2r with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.r)
-        in
-        let bv =
-          bin_eval st.canonical b2.k b2.kw lv rv
-        in
-        let v2 = if b2.ext then Eval.sext32 bv else bv in
-        if xw2 then ri.(b2.dst) <- v2;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cb;
-        let lv =
-          match sbl with
-          | 1 -> v1
-          | 2 -> v2
-          | 3 -> a.v
-          | 4 -> b2.v
-          | _ -> ri.(b.bl)
-        in
-        let rv =
-          match sbr with
-          | 1 -> v1
-          | 2 -> v2
-          | 3 -> a.v
-          | 4 -> b2.v
-          | _ -> ri.(b.brx)
-        in
-        let taken =
-          if b.bw64 then holds b.bcond (Int64.compare lv rv)
-          else iholds b.bcond (sx32 lv) (sx32 rv)
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
-    | PBinBinMovBr { bb = { a; hb; b2; s2l; s2r; xw1; xw2 }; hm; smv; m; sbl; sbr }
-      ->
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
-        let av =
-          bin_eval st.canonical a.k a.kw lv rv
-        in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw1 then ri.(a.dst) <- v1;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hb;
-        if b2.wd1 then ri.(b2.d1) <- b2.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + b2.c2;
-        let lv =
-          match s2l with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.l)
-        in
-        let rv =
-          match s2r with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.r)
-        in
-        let bv =
-          bin_eval st.canonical b2.k b2.kw lv rv
-        in
-        let v2 = if b2.ext then Eval.sext32 bv else bv in
-        if xw2 then ri.(b2.dst) <- v2;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hm;
-        let mv =
-          let v =
-            match smv with
-            | 1 -> v1
-            | 2 -> v2
-            | 3 -> a.v
-            | 4 -> b2.v
-            | _ -> ri.(m.vsrc)
-          in
-          if m.vext then Eval.sext32 v else v
-        in
-        if m.vw then ri.(m.vdst) <- mv;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + m.vc2;
-        let b = m.vb in
-        let lv =
-          match sbl with
-          | 1 -> v1
-          | 2 -> v2
-          | 3 -> a.v
-          | 4 -> b2.v
-          | 5 -> mv
-          | _ -> ri.(b.bl)
-        in
-        let rv =
-          match sbr with
-          | 1 -> v1
-          | 2 -> v2
-          | 3 -> a.v
-          | 4 -> b2.v
-          | 5 -> mv
-          | _ -> ri.(b.brx)
-        in
-        let taken =
-          if b.bw64 then holds b.bcond (Int64.compare lv rv)
-          else iholds b.bcond (sx32 lv) (sx32 rv)
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
-    | PLoadSxLoad { l1; w1; cs; sr; wsr; f1; cl; l2 } ->
-        let cell1 = arr_cell st ri.(l1.larr) in
-        let k1 = checked_index st ri.(l1.lidx) (cell_len cell1) in
-        let u1 =
-          match cell1 with
-          | IArr { data; _ } ->
-              let v = elem_load l1.lelem l1.llext data.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-          | FArr d ->
-              if w1 then rf.(l1.ldst) <- d.(k1);
-              ri.(l1.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-        in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cs;
-        st.sext32 <- st.sext32 + 1;
-        let xi = sx32 (if f1 then u1 else ri.(sr)) in
-        if wsr then ri.(sr) <- Int64.of_int xi;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cl;
-        let cell2 = arr_cell st ri.(l2.larr) in
-        if xi < 0 || xi >= cell_len cell2 then
-          raise (Trap "array-index-out-of-bounds");
-        (match cell2 with
-        | IArr { data; _ } ->
-            let v = elem_load l2.lelem l2.llext data.(xi) in
-            ri.(l2.ldst) <- (if l2.lsx then Eval.sext32 v else v)
-        | FArr d -> rf.(l2.ldst) <- d.(xi)
-        | RArr d ->
-            let v = Int64.of_int d.(xi) in
-            ri.(l2.ldst) <- (if l2.lsx then Eval.sext32 v else v));
-        pc := !pc + 2
-    | PLoadSxLoadBr { l1; w1; cs; sr; wsr; f1; cl; l2; w2; cb; sbl; sbr; b }
-      ->
-        let cell1 = arr_cell st ri.(l1.larr) in
-        let k1 = checked_index st ri.(l1.lidx) (cell_len cell1) in
-        let u1 =
-          match cell1 with
-          | IArr { data; _ } ->
-              let v = elem_load l1.lelem l1.llext data.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-          | FArr d ->
-              if w1 then rf.(l1.ldst) <- d.(k1);
-              ri.(l1.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-        in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cs;
-        st.sext32 <- st.sext32 + 1;
-        let xi = sx32 (if f1 then u1 else ri.(sr)) in
-        if wsr then ri.(sr) <- Int64.of_int xi;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cl;
-        let cell2 = arr_cell st ri.(l2.larr) in
-        if xi < 0 || xi >= cell_len cell2 then
-          raise (Trap "array-index-out-of-bounds");
-        let u2 =
-          match cell2 with
-          | IArr { data; _ } ->
-              let v = elem_load l2.lelem l2.llext data.(xi) in
-              let v = if l2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(l2.ldst) <- v;
-              v
-          | FArr d ->
-              if w2 then rf.(l2.ldst) <- d.(xi);
-              ri.(l2.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(xi) in
-              let v = if l2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(l2.ldst) <- v;
-              v
-        in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cb;
-        let xv = Int64.of_int xi in
-        let lv =
-          match sbl with 1 -> u1 | 2 -> xv | 3 -> u2 | _ -> ri.(b.bl)
-        in
-        let rv =
-          match sbr with 1 -> u1 | 2 -> xv | 3 -> u2 | _ -> ri.(b.brx)
-        in
-        let taken =
-          if b.bw64 then holds b.bcond (Int64.compare lv rv)
-          else iholds b.bcond (sx32 lv) (sx32 rv)
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
-    | PSxLoadBin { sr; wsr; cl; ld; w1; hb; a; s2l; s2r; xw } ->
-        st.sext32 <- st.sext32 + 1;
-        let xi = sx32 ri.(sr) in
-        if wsr then ri.(sr) <- Int64.of_int xi;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cl;
-        let cell = arr_cell st ri.(ld.larr) in
-        if xi < 0 || xi >= cell_len cell then
-          raise (Trap "array-index-out-of-bounds");
-        let u1 =
-          match cell with
-          | IArr { data; _ } ->
-              let v = elem_load ld.lelem ld.llext data.(xi) in
-              let v = if ld.lsx then Eval.sext32 v else v in
-              if w1 then ri.(ld.ldst) <- v;
-              v
-          | FArr d ->
-              if w1 then rf.(ld.ldst) <- d.(xi);
-              ri.(ld.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(xi) in
-              let v = if ld.lsx then Eval.sext32 v else v in
-              if w1 then ri.(ld.ldst) <- v;
-              v
-        in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hb;
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let xv = Int64.of_int xi in
-        let lv =
-          match s2l with 1 -> u1 | 2 -> xv | 4 -> a.v | _ -> ri.(a.l)
-        in
-        let rv =
-          match s2r with 1 -> u1 | 2 -> xv | 4 -> a.v | _ -> ri.(a.r)
-        in
-        let bv =
-          bin_eval st.canonical a.k a.kw lv rv
-        in
-        if xw then ri.(a.dst) <- (if a.ext then Eval.sext32 bv else bv);
-        pc := !pc + 3
-    | PSxLoadBinLoadBr
-        { sr; wsr; cl; ld; w1; hb; a; s2l; s2r; xw; hl; ld2; w2; si; cb;
-          sbl; sbr; b } ->
-        st.sext32 <- st.sext32 + 1;
-        let xi = sx32 ri.(sr) in
-        if wsr then ri.(sr) <- Int64.of_int xi;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cl;
-        let cell = arr_cell st ri.(ld.larr) in
-        if xi < 0 || xi >= cell_len cell then
-          raise (Trap "array-index-out-of-bounds");
-        let u1 =
-          match cell with
-          | IArr { data; _ } ->
-              let v = elem_load ld.lelem ld.llext data.(xi) in
-              let v = if ld.lsx then Eval.sext32 v else v in
-              if w1 then ri.(ld.ldst) <- v;
-              v
-          | FArr d ->
-              if w1 then rf.(ld.ldst) <- d.(xi);
-              ri.(ld.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(xi) in
-              let v = if ld.lsx then Eval.sext32 v else v in
-              if w1 then ri.(ld.ldst) <- v;
-              v
-        in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hb;
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let xv = Int64.of_int xi in
-        let lv =
-          match s2l with 1 -> u1 | 2 -> xv | 4 -> a.v | _ -> ri.(a.l)
-        in
-        let rv =
-          match s2r with 1 -> u1 | 2 -> xv | 4 -> a.v | _ -> ri.(a.r)
-        in
-        let bv =
-          bin_eval st.canonical a.k a.kw lv rv
-        in
-        let v2 = if a.ext then Eval.sext32 bv else bv in
-        if xw then ri.(a.dst) <- v2;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hl;
-        let cell2 = arr_cell st ri.(ld2.larr) in
-        let ki =
-          match si with
-          | 1 -> u1
-          | 2 -> xv
-          | 3 -> v2
-          | 4 -> a.v
-          | _ -> ri.(ld2.lidx)
-        in
-        let k2 = checked_index st ki (cell_len cell2) in
-        let u2 =
-          match cell2 with
-          | IArr { data; _ } ->
-              let v = elem_load ld2.lelem ld2.llext data.(k2) in
-              let v = if ld2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(ld2.ldst) <- v;
-              v
-          | FArr d ->
-              if w2 then rf.(ld2.ldst) <- d.(k2);
-              ri.(ld2.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k2) in
-              let v = if ld2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(ld2.ldst) <- v;
-              v
-        in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cb;
-        let lv =
-          match sbl with
-          | 1 -> u1
-          | 2 -> xv
-          | 3 -> v2
-          | 4 -> a.v
-          | 5 -> u2
-          | _ -> ri.(b.bl)
-        in
-        let rv =
-          match sbr with
-          | 1 -> u1
-          | 2 -> xv
-          | 3 -> v2
-          | 4 -> a.v
-          | 5 -> u2
-          | _ -> ri.(b.brx)
-        in
-        let taken =
-          if b.bw64 then holds b.bcond (Int64.compare lv rv)
-          else iholds b.bcond (sx32 lv) (sx32 rv)
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
-    | PLoad2Store2 { l1; w1; c2; l2; w2; c3; s1; z1; zr1; c4; s2; z2; zr2 }
-      ->
-        let cell1 = arr_cell st ri.(l1.larr) in
-        let k1 = checked_index st ri.(l1.lidx) (cell_len cell1) in
-        let u1 =
-          match cell1 with
-          | IArr { data; _ } ->
-              let v = elem_load l1.lelem l1.llext data.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-          | FArr d ->
-              if w1 then rf.(l1.ldst) <- d.(k1);
-              ri.(l1.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-        in
-        (* [raw*]/[rk*]: the undecoded cell word and whether the cell
-           was an int array — a same-element store of a loaded value
-           reuses the word, skipping [elem_store]'s re-encode; [fv*]/
-           [fk*] are the float-side equivalents for float cells *)
-        let raw1 = match cell1 with IArr { data; _ } -> data.(k1) | _ -> u1 in
-        let rk1 = match cell1 with IArr _ -> true | _ -> false in
-        let fv1 = match cell1 with FArr d -> d.(k1) | _ -> 0.0 in
-        let fk1 = match cell1 with FArr _ -> true | _ -> false in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let cell2 = arr_cell st ri.(l2.larr) in
-        let k2 = checked_index st ri.(l2.lidx) (cell_len cell2) in
-        let u2 =
-          match cell2 with
-          | IArr { data; _ } ->
-              let v = elem_load l2.lelem l2.llext data.(k2) in
-              let v = if l2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(l2.ldst) <- v;
-              v
-          | FArr d ->
-              if w2 then rf.(l2.ldst) <- d.(k2);
-              ri.(l2.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k2) in
-              let v = if l2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(l2.ldst) <- v;
-              v
-        in
-        let raw2 = match cell2 with IArr { data; _ } -> data.(k2) | _ -> u2 in
-        let rk2 = match cell2 with IArr _ -> true | _ -> false in
-        let fv2 = match cell2 with FArr d -> d.(k2) | _ -> 0.0 in
-        let fk2 = match cell2 with FArr _ -> true | _ -> false in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c3;
-        (let cells = arr_cell st ri.(s1.sarr) in
-         let j = checked_index st ri.(s1.sidx) (cell_len cells) in
-         match cells with
-         | IArr { data; _ } ->
-             if zr1 && (if z1 = 1 then rk1 else rk2) then
-               data.(j) <- (if z1 = 1 then raw1 else raw2)
-             else
-               data.(j) <-
-                 elem_store s1.selem
-                   (match z1 with 1 -> u1 | 2 -> u2 | _ -> ri.(s1.ssrc))
-         | FArr d ->
-             d.(j) <-
-               (match z1 with
-               | 1 when fk1 -> fv1
-               | 2 when fk2 -> fv2
-               | _ -> rf.(s1.ssrc))
-         | RArr d ->
-             d.(j) <-
-               Int64.to_int
-                 (match z1 with 1 -> u1 | 2 -> u2 | _ -> ri.(s1.ssrc)));
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c4;
-        (let cells = arr_cell st ri.(s2.sarr) in
-         let j = checked_index st ri.(s2.sidx) (cell_len cells) in
-         match cells with
-         | IArr { data; _ } ->
-             if zr2 && (if z2 = 1 then rk1 else rk2) then
-               data.(j) <- (if z2 = 1 then raw1 else raw2)
-             else
-               data.(j) <-
-                 elem_store s2.selem
-                   (match z2 with 1 -> u1 | 2 -> u2 | _ -> ri.(s2.ssrc))
-         | FArr d ->
-             d.(j) <-
-               (match z2 with
-               | 1 when fk1 -> fv1
-               | 2 when fk2 -> fv2
-               | _ -> rf.(s2.ssrc))
-         | RArr d ->
-             d.(j) <-
-               Int64.to_int
-                 (match z2 with 1 -> u1 | 2 -> u2 | _ -> ri.(s2.ssrc)));
-        pc := !pc + 3
-    | PSwapJmp
-        { l1; w1; c2; l2; w2; c3; s1; z1; zr1; c4; s2; z2; zr2; hm; smv; m }
-      ->
-        let cell1 = arr_cell st ri.(l1.larr) in
-        let k1 = checked_index st ri.(l1.lidx) (cell_len cell1) in
-        let u1 =
-          match cell1 with
-          | IArr { data; _ } ->
-              let v = elem_load l1.lelem l1.llext data.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-          | FArr d ->
-              if w1 then rf.(l1.ldst) <- d.(k1);
-              ri.(l1.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-        in
-        let raw1 = match cell1 with IArr { data; _ } -> data.(k1) | _ -> u1 in
-        let rk1 = match cell1 with IArr _ -> true | _ -> false in
-        let fv1 = match cell1 with FArr d -> d.(k1) | _ -> 0.0 in
-        let fk1 = match cell1 with FArr _ -> true | _ -> false in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let cell2 = arr_cell st ri.(l2.larr) in
-        let k2 = checked_index st ri.(l2.lidx) (cell_len cell2) in
-        let u2 =
-          match cell2 with
-          | IArr { data; _ } ->
-              let v = elem_load l2.lelem l2.llext data.(k2) in
-              let v = if l2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(l2.ldst) <- v;
-              v
-          | FArr d ->
-              if w2 then rf.(l2.ldst) <- d.(k2);
-              ri.(l2.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k2) in
-              let v = if l2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(l2.ldst) <- v;
-              v
-        in
-        let raw2 = match cell2 with IArr { data; _ } -> data.(k2) | _ -> u2 in
-        let rk2 = match cell2 with IArr _ -> true | _ -> false in
-        let fv2 = match cell2 with FArr d -> d.(k2) | _ -> 0.0 in
-        let fk2 = match cell2 with FArr _ -> true | _ -> false in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c3;
-        (let cells = arr_cell st ri.(s1.sarr) in
-         let j = checked_index st ri.(s1.sidx) (cell_len cells) in
-         match cells with
-         | IArr { data; _ } ->
-             if zr1 && (if z1 = 1 then rk1 else rk2) then
-               data.(j) <- (if z1 = 1 then raw1 else raw2)
-             else
-               data.(j) <-
-                 elem_store s1.selem
-                   (match z1 with 1 -> u1 | 2 -> u2 | _ -> ri.(s1.ssrc))
-         | FArr d ->
-             d.(j) <-
-               (match z1 with
-               | 1 when fk1 -> fv1
-               | 2 when fk2 -> fv2
-               | _ -> rf.(s1.ssrc))
-         | RArr d ->
-             d.(j) <-
-               Int64.to_int
-                 (match z1 with 1 -> u1 | 2 -> u2 | _ -> ri.(s1.ssrc)));
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c4;
-        (let cells = arr_cell st ri.(s2.sarr) in
-         let j = checked_index st ri.(s2.sidx) (cell_len cells) in
-         match cells with
-         | IArr { data; _ } ->
-             if zr2 && (if z2 = 1 then rk1 else rk2) then
-               data.(j) <- (if z2 = 1 then raw1 else raw2)
-             else
-               data.(j) <-
-                 elem_store s2.selem
-                   (match z2 with 1 -> u1 | 2 -> u2 | _ -> ri.(s2.ssrc))
-         | FArr d ->
-             d.(j) <-
-               (match z2 with
-               | 1 when fk1 -> fv1
-               | 2 when fk2 -> fv2
-               | _ -> rf.(s2.ssrc))
-         | RArr d ->
-             d.(j) <-
-               Int64.to_int
-                 (match z2 with 1 -> u1 | 2 -> u2 | _ -> ri.(s2.ssrc)));
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hm;
-        if m.mw then begin
-          let v = match smv with 1 -> u1 | 2 -> u2 | _ -> ri.(m.msrc) in
-          ri.(m.mdst) <- (if m.mext then Eval.sext32 v else v)
-        end;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + m.mc2;
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:m.mj.jsrc ~dst:m.mj.jdst
-        | None -> ());
-        if m.mj.joff >= 0 then pc := m.mj.joff
-        else begin
-          ignore (Cfg.block p.src m.mj.jdst);
-          assert false
-        end
   done
 
 (** Call [fn], binding [argv] (packed caller registers) to the callee's
@@ -3580,8 +2101,7 @@ and call_fn st fn fid (caller_ri : int64 array) (caller_rf : float array)
 (* ------------------------------------------------------------------ *)
 
 let run ?(mode = `Faithful) ?(fuel = 2_000_000_000L) ?(count_cycles = true)
-    ?profile ?fuse (prog : Prog.t) : outcome =
-  let fuse = match fuse with Some s -> s | None -> Fuse.of_env () in
+    ?profile ?(fused = true) (prog : Prog.t) : outcome =
   let fuel_i =
     if Int64.compare fuel (Int64.of_int max_int) >= 0 then max_int
     else Int64.to_int fuel
@@ -3590,7 +2110,7 @@ let run ?(mode = `Faithful) ?(fuel = 2_000_000_000L) ?(count_cycles = true)
     {
       prog;
       canonical = mode = `Canonical;
-      fuse;
+      fused;
       depth = 0;
       heap = Vec.create ~dummy:None ();
       gvi = Array.make (gslot_count ()) 0L;

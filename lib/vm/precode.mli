@@ -5,7 +5,7 @@
     canonical-mode re-extension and static costs baked in) and executes
     them with a tight program-counter loop over native-int counters.
     Decoded code is cached per function, keyed by the {!Sxe_ir.Cfg}
-    generation counter, and per mode.
+    generation counter, and per (mode, fused).
 
     Observable behaviour — output, checksum, trap, return value and the
     dynamic counters — is bit-identical to the structural {!Interp}
@@ -44,11 +44,16 @@ val elem_store : Sxe_ir.Types.aelem -> int64 -> int64
 val checksum_mix : int64 -> int64 -> int64
 
 type pfunc
-(** A function decoded for one (mode, fusion selection). *)
+(** A function decoded for one mode, fused or not. *)
+
+val rule_names : string list
+(** The superinstruction-fusion rules, in the order {!fusion_stats}
+    reports them. See [docs/VM.md], "Superinstructions". *)
 
 val fusion_stats : pfunc -> (string * int) list
-(** Fused superinstruction groups per rule name, in rule order; empty
-    when the image was decoded without fusion. *)
+(** Fused superinstruction groups per rule name, in {!rule_names}
+    order, rules that formed no group omitted; empty when the image was
+    decoded without fusion. *)
 
 val fused_total : pfunc -> int
 (** Total fused groups in the image. *)
@@ -67,25 +72,25 @@ val disasm : pfunc -> string
     block starts, and the opcode name; slots shadowed by a preceding
     fused superinstruction are marked [.]. Debugging and test aid. *)
 
-val decode : ?fuse:Fuse.selection -> canonical:bool -> Sxe_ir.Cfg.func -> pfunc
-(** Decode unconditionally (no cache), applying the selected fusion
-    rules (default [Fuse.Off]). Exposed for tests and benchmarks. *)
+val decode : ?fused:bool -> canonical:bool -> Sxe_ir.Cfg.func -> pfunc
+(** Decode unconditionally (no cache), with superinstruction fusion
+    unless [fused] is false (default true). Exposed for tests and
+    benchmarks. *)
 
-val get_decoded : ?fuse:Fuse.selection -> canonical:bool -> Sxe_ir.Cfg.func -> pfunc
+val get_decoded : ?fused:bool -> canonical:bool -> Sxe_ir.Cfg.func -> pfunc
 (** Decode through the per-function cache: at most one decode per
-    (generation, mode, fusion selection); any mutation through the
-    {!Sxe_ir.Cfg} API invalidates every image. *)
+    (generation, mode, fused); any mutation through the {!Sxe_ir.Cfg}
+    API invalidates every image. [fused] defaults to true. *)
 
 val run :
   ?mode:[ `Faithful | `Canonical ] ->
   ?fuel:int64 ->
   ?count_cycles:bool ->
   ?profile:Profile.t ->
-  ?fuse:Fuse.selection ->
+  ?fused:bool ->
   Sxe_ir.Prog.t ->
   outcome
 (** Execute the program's [main]; same contract as {!Interp.run} minus the
-    [trace]/[watch] hooks. [fuse] selects which superinstruction-fusion
-    rules the decoder applies (default: the ambient [SXE_FUSE] selection,
-    {!Fuse.of_env}); every selection produces bit-identical outcomes,
-    counters included. *)
+    [trace]/[watch] hooks. [fused] (default true) runs the
+    superinstruction-fused images; fused and unfused runs produce
+    bit-identical outcomes, counters included. *)

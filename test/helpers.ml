@@ -1,24 +1,8 @@
-(** Shared helpers for the test suites: quick IR construction, the
-    variant list, and differential compile-and-run. *)
+(** Shared helpers for the test suites: quick IR construction and
+    differential compile-and-run over the measured variants. *)
 
 open Sxe_ir
 module B = Builder
-
-let all_variants ?arch ?maxlen () : Sxe_core.Config.t list =
-  [
-    Sxe_core.Config.baseline ?arch ?maxlen ();
-    Sxe_core.Config.gen_use ?arch ?maxlen ();
-    Sxe_core.Config.first_algorithm ?arch ?maxlen ();
-    Sxe_core.Config.basic_ud_du ?arch ?maxlen ();
-    Sxe_core.Config.insert ?arch ?maxlen ();
-    Sxe_core.Config.order ?arch ?maxlen ();
-    Sxe_core.Config.insert_order ?arch ?maxlen ();
-    Sxe_core.Config.array ?arch ?maxlen ();
-    Sxe_core.Config.array_insert ?arch ?maxlen ();
-    Sxe_core.Config.array_order ?arch ?maxlen ();
-    Sxe_core.Config.all_pde ?arch ?maxlen ();
-    Sxe_core.Config.new_all ?arch ?maxlen ();
-  ]
 
 (** Wrap a single function into a program with that function as main. *)
 let prog_of_func ?(globals = []) (f : Cfg.func) =
@@ -55,7 +39,7 @@ let check_all_variants ?fuel ?arch ?maxlen ~name src =
           (Option.value ~default:"none" out.Sxe_vm.Interp.trap)
           out.Sxe_vm.Interp.checksum;
       (config.Sxe_core.Config.name, out.Sxe_vm.Interp.sext32, stats))
-    (all_variants ?arch ?maxlen ())
+    (Sxe_core.Config.measured ?arch ?maxlen ())
 
 let dyn_of results vname =
   match List.find_opt (fun (n, _, _) -> n = vname) results with

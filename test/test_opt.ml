@@ -563,7 +563,7 @@ let step2_digest () =
                  s.eliminated_zext; s.eliminated_by_pre; s.remaining; s.remaining_zext ]
               @ Array.to_list s.by_theorem));
           seal ())
-        (Helpers.all_variants ()))
+        (Sxe_core.Config.measured ()))
     (Sxe_workloads.Registry.all ~scale:1 () @ Sxe_workloads.Registry.extras ~scale:1 ());
   Digest.to_hex (Digest.string (Buffer.contents acc))
 

@@ -360,7 +360,7 @@ let certify_table ~jobs () =
            (w.name, Sxe_lang.Frontend.compile w.source))
   in
   List.iter (fun (_, p) -> Sxe_ir.Clone.freeze_prog p) inputs;
-  let configs = Oracle.all_variants () in
+  let configs = Sxe_core.Config.measured () in
   let cells =
     List.concat_map
       (fun (name, base) -> List.map (fun c -> (name, base, c)) configs)

@@ -89,8 +89,7 @@ let test_unsigned_parity () =
             ~mode:`Faithful opt
         in
         let fused =
-          Sxe_vm.Interp.run ~mode:`Faithful ~engine:`Precode
-            ~fuse:Sxe_vm.Fuse.All opt
+          Sxe_vm.Interp.run ~mode:`Faithful ~engine:`Precode ~fused:true opt
         in
         Alcotest.check outcome
           (Printf.sprintf "%s (%s): fused parity" w.name
