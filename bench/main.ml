@@ -363,9 +363,14 @@ let vm_tests () =
    [vm_scale] — at least 2 regardless of --scale — because the
    superinstruction speedup is a steady-state property: scale-1 runs are
    short enough that decode and state setup dilute the dispatch win the
-   row is supposed to track. *)
+   row is supposed to track. A single run can still last only a few
+   milliseconds (Numeric Sort at scale 2), which timer and scheduler
+   noise swamp, so each timed sample is [reps] back-to-back runs, with
+   [reps] fixed per workload after warm-up so that one sample of the
+   fastest engine lasts at least [ab_min_sample_s]. *)
 let vm_scale () = max !scale 2
 let ab_rounds = 21
+let ab_min_sample_s = 0.05
 
 let time_of f =
   let t0 = Sxe_util.Monoclock.now_ns () in
@@ -377,27 +382,47 @@ let median a =
   Array.sort compare a;
   a.(Array.length a / 2)
 
-(* Per-workload medians, in ms: (structural, unfused precode, fused). *)
+(* Minor-heap words allocated per executed instruction by one run, with
+   the decode cache already warm. Deterministic: it counts allocations,
+   not time. *)
+let words_per_instr run =
+  let w0 = Gc.minor_words () in
+  let o : Sxe_vm.Interp.outcome = run () in
+  (Gc.minor_words () -. w0) /. Int64.to_float o.Sxe_vm.Interp.executed
+
+type ab = {
+  reps : int;  (** runs per timed sample *)
+  ms : float * float * float;
+      (** median ms per run: structural, unfused precode, fused *)
+  wpi : float * float * float;  (** words per instruction, same order *)
+}
+
 let ab_medians wname =
   let w = Sxe_workloads.Registry.find ~scale:(vm_scale ()) wname in
   let prog = Sxe_lang.Frontend.compile w.Sxe_workloads.Registry.source in
   ignore (Sxe_core.Pass.compile (Sxe_core.Config.new_all ()) prog);
-  let structural () = ignore (Sxe_vm.Interp.run ~engine:`Structural prog) in
-  let precode fused () = ignore (Sxe_vm.Interp.run ~engine:`Precode ~fused prog) in
+  let structural () = Sxe_vm.Interp.run ~engine:`Structural prog in
+  let precode fused () = Sxe_vm.Interp.run ~engine:`Precode ~fused prog in
   let unfused = precode false and fused = precode true in
   (* warm every decode cache so round 1 times execution, not decoding *)
-  structural ();
-  unfused ();
-  fused ();
-  let ts = Array.make ab_rounds 0.0 in
-  let tu = Array.make ab_rounds 0.0 in
-  let tf = Array.make ab_rounds 0.0 in
+  let runs = [| structural; unfused; fused |] in
+  Array.iter (fun r -> ignore (r ())) runs;
+  let wpi = Array.map words_per_instr runs in
+  let fastest =
+    Array.fold_left (fun m r -> Float.min m (time_of (fun () -> ignore (r ())))) infinity runs
+  in
+  let reps = max 1 (int_of_float (Float.ceil (ab_min_sample_s /. fastest))) in
+  let sample r () =
+    for _ = 1 to reps do
+      ignore (r ())
+    done
+  in
+  let t = Array.map (fun _ -> Array.make ab_rounds 0.0) runs in
   for i = 0 to ab_rounds - 1 do
-    ts.(i) <- time_of structural;
-    tu.(i) <- time_of unfused;
-    tf.(i) <- time_of fused
+    Array.iteri (fun e r -> t.(e).(i) <- time_of (sample r)) runs
   done;
-  (median ts *. 1e3, median tu *. 1e3, median tf *. 1e3)
+  let ms e = median t.(e) *. 1e3 /. float_of_int reps in
+  { reps; ms = (ms 0, ms 1, ms 2); wpi = (wpi.(0), wpi.(1), wpi.(2)) }
 
 (* Per-workload dispatch-pair histogram (unfused, so the counts name the
    fusion candidates — the same data `sxopt bench --dispatch-counts`
@@ -539,9 +564,13 @@ let json_artifact () =
   let ab =
     List.map
       (fun wname ->
-        let ((s, u, f) as m) = ab_medians wname in
-        Printf.printf "  %-14s structural %8.2f ms  precode %8.2f ms  fused %8.2f ms  (fused speedup %.3f)\n%!"
-          wname s u f (u /. f);
+        let m = ab_medians wname in
+        let s, u, f = m.ms in
+        let _, wu, wf = m.wpi in
+        Printf.printf
+          "  %-14s x%-3d structural %8.2f ms  precode %8.2f ms  fused %8.2f ms  \
+           (fused speedup %.3f; words/instr precode %.4f fused %.4f)\n%!"
+          wname m.reps s u f (u /. f) wu wf;
         (wname, m))
       vm_workloads
   in
@@ -555,13 +584,18 @@ let json_artifact () =
         (if i = List.length results - 1 then "" else ","))
     results;
   (* vm_ab: the interleaved-median raw times behind the ratio rows *)
-  Printf.fprintf oc "  },\n  \"vm_ab\": {\n    \"scale\": %d,\n    \"rounds\": %d,\n"
-    (vm_scale ()) ab_rounds;
+  Printf.fprintf oc
+    "  },\n  \"vm_ab\": {\n    \"scale\": %d,\n    \"rounds\": %d,\n    \
+     \"min_sample_ms\": %.0f,\n"
+    (vm_scale ()) ab_rounds (ab_min_sample_s *. 1e3);
   List.iteri
-    (fun i (wname, (s, u, f)) ->
+    (fun i (wname, m) ->
+      let s, u, f = m.ms and ws, wu, wf = m.wpi in
       Printf.fprintf oc
-        "    \"%s\": { \"structural_ms\": %.3f, \"precode_ms\": %.3f, \"fused_ms\": %.3f }%s\n"
-        (json_escape wname) s u f
+        "    \"%s\": { \"reps\": %d, \"structural_ms\": %.3f, \"precode_ms\": %.3f, \
+         \"fused_ms\": %.3f,\n      \"words_per_instr\": { \"structural\": %.4f, \
+         \"precode\": %.4f, \"fused\": %.4f } }%s\n"
+        (json_escape wname) m.reps s u f ws wu wf
         (if i = List.length ab - 1 then "" else ","))
     ab;
   let ratio_row oc label num den =
@@ -576,8 +610,8 @@ let json_artifact () =
   in
   (* speedup: pre-decoding over the structural engine (unfused);
      fused: superinstruction fusion over the unfused pre-decoded engine *)
-  ratio_row oc "speedup" (fun (s, _, _) -> s) (fun (_, u, _) -> u);
-  ratio_row oc "fused" (fun (_, u, _) -> u) (fun (_, _, f) -> f);
+  ratio_row oc "speedup" (fun { ms = s, _, _; _ } -> s) (fun { ms = _, u, _; _ } -> u);
+  ratio_row oc "fused" (fun { ms = _, u, _; _ } -> u) (fun { ms = _, _, f; _ } -> f);
   Printf.fprintf oc "  },\n  \"dispatch\": {\n";
   List.iteri
     (fun i wname ->

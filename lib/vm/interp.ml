@@ -29,7 +29,7 @@ open Sxe_ir.Types
 exception Trap = Precode.Trap
 
 type cell = Precode.cell =
-  | IArr of { elem : aelem; data : int64 array }
+  | IArr of { elem : aelem; data : Bytes.t }
   | FArr of float array
   | RArr of int array
 
@@ -77,6 +77,8 @@ let max_alloc = Precode.max_alloc
 let max_depth = Precode.max_depth
 let elem_load = Precode.elem_load
 let elem_store = Precode.elem_store
+let ( .%{} ) = Precode.( .%{} )
+let ( .%{}<- ) = Precode.( .%{}<- )
 let checksum_mix = Precode.checksum_mix
 
 let rec exec_func st fname (args : varg list) : varg option =
@@ -117,7 +119,7 @@ let rec exec_func st fname (args : varg list) : varg option =
     | None -> raise (Trap "bad-handle")
   in
   let cell_len = function
-    | IArr { data; _ } -> Array.length data
+    | IArr { data; _ } -> Precode.nwords data
     | FArr d -> Array.length d
     | RArr d -> Array.length d
   in
@@ -197,7 +199,7 @@ let rec exec_func st fname (args : varg list) : varg option =
           match elem with
           | AF64 -> FArr (Array.make n 0.0)
           | ARef -> RArr (Array.make n 0)
-          | e -> IArr { elem = e; data = Array.make n 0L }
+          | e -> IArr { elem = e; data = Precode.words n }
         in
         let h = Vec.push st.heap (Some cell) in
         set_i dst (Int64.of_int (h + 1))
@@ -205,14 +207,14 @@ let rec exec_func st fname (args : varg list) : varg option =
         let cell = arr_cell ri.(arr) in
         let k = checked_index ri.(idx) (cell_len cell) in
         match cell with
-        | IArr { data; _ } -> set_i dst (elem_load elem lext data.(k))
+        | IArr { data; _ } -> set_i dst (elem_load elem lext data.%{k})
         | FArr d -> rf.(dst) <- d.(k)
         | RArr d -> set_i dst (Int64.of_int d.(k)))
     | Instr.ArrStore { arr; idx; src; elem } -> (
         let cell = arr_cell ri.(arr) in
         let k = checked_index ri.(idx) (cell_len cell) in
         match cell with
-        | IArr { data; _ } -> data.(k) <- elem_store elem ri.(src)
+        | IArr { data; _ } -> data.%{k} <- elem_store elem ri.(src)
         | FArr d -> d.(k) <- rf.(src)
         | RArr d -> d.(k) <- Int64.to_int ri.(src))
     | Instr.ArrLen { dst; arr } ->

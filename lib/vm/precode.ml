@@ -9,7 +9,7 @@
     resolved to flat code offsets, the canonical-mode re-extension decision
     and the static cost-model weights baked in at decode time — and
     executes them with a tight program-counter loop over native-int
-    counters.
+    counters and unboxed 64-bit registers (the word stores below).
 
     Per-run decisions are hoisted out of the per-instruction path:
     - [mode] selects which decoded image to use (the two modes decode to
@@ -37,8 +37,23 @@ open Sxe_ir.Types
 
 exception Trap of string
 
+(* The engine's 64-bit integer state — register files, global slots and
+   the data of integer arrays — lives in [Bytes.t], one native-endian
+   64-bit word per element at byte offset [i lsl 3]. An [int64 array]
+   holds a pointer to a boxed [int64] per element, so every write
+   allocated a box and paid the write barrier; [Bytes.get_int64_ne] and
+   [Bytes.set_int64_ne] are compiler primitives on unboxed values, still
+   bounds-checked. Read [b.%{i}], write [b.%{i} <- v]. *)
+let[@inline] ( .%{} ) (b : Bytes.t) i = Bytes.get_int64_ne b (i lsl 3)
+let[@inline] ( .%{}<- ) (b : Bytes.t) i (v : int64) = Bytes.set_int64_ne b (i lsl 3) v
+
+(** [words n]: a zeroed store of [n] 64-bit words. *)
+let words n = Bytes.make (n lsl 3) '\000'
+
+let nwords (b : Bytes.t) = Bytes.length b lsr 3
+
 type cell =
-  | IArr of { elem : aelem; data : int64 array }
+  | IArr of { elem : aelem; data : Bytes.t }
   | FArr of float array
   | RArr of int array
 
@@ -58,24 +73,61 @@ type outcome = {
 let max_alloc = 1 lsl 26
 let max_depth = 2_500
 
-let elem_load elem lext (raw : int64) =
+(* Extension kernels: {!Eval}'s definitions, restated here so the
+   dispatch loop never calls across a module boundary with an [int64].
+   The library is compiled with [-opaque] in the default (dev) profile,
+   so a call into [Eval] is never inlined and returns a freshly boxed
+   result; these inline into [exec] and stay unboxed. [Eval] remains the
+   one written semantics: tier-1 pins each kernel to its counterpart. *)
+let[@inline] low32 v = Int64.logand v 0xFFFF_FFFFL
+let[@inline] sext32 v = Int64.shift_right (Int64.shift_left v 32) 32
+let[@inline] zext32 v = low32 v
+let[@inline] sext16 v = Int64.shift_right (Int64.shift_left v 48) 48
+let[@inline] zext16 v = Int64.logand v 0xFFFFL
+let[@inline] sext8 v = Int64.shift_right (Int64.shift_left v 56) 56
+let[@inline] zext8 v = Int64.logand v 0xFFL
+
+(* The float kernels, for the same reason: a float crosses a call
+   boundary boxed. *)
+let[@inline] fcmp (cond : cond) (l : float) (r : float) =
+  match cond with
+  | Eq -> l = r
+  | Ne -> not (l = r)
+  | Lt -> l < r
+  | Le -> l <= r
+  | Gt -> l > r
+  | Ge -> l >= r
+
+let[@inline] d2i (v : float) : int64 =
+  if Float.is_nan v then 0L
+  else if v >= 2147483647.0 then 2147483647L
+  else if v <= -2147483648.0 then -2147483648L
+  else Int64.of_float v
+
+let[@inline] d2l (v : float) : int64 =
+  if Float.is_nan v then 0L
+  else if v >= Int64.to_float Int64.max_int then Int64.max_int
+  else if v <= Int64.to_float Int64.min_int then Int64.min_int
+  else Int64.of_float v
+
+let[@inline] elem_load elem lext (raw : int64) =
   match (elem, lext) with
-  | AI8, LZero -> Eval.zext8 raw
-  | AI8, LSign -> Eval.sext8 raw
-  | AI16, LZero -> Eval.zext16 raw
-  | AI16, LSign -> Eval.sext16 raw
-  | AI32, LZero -> Eval.zext32 raw
-  | AI32, LSign -> Eval.sext32 raw
+  | AI8, LZero -> zext8 raw
+  | AI8, LSign -> sext8 raw
+  | AI16, LZero -> zext16 raw
+  | AI16, LSign -> sext16 raw
+  | AI32, LZero -> zext32 raw
+  | AI32, LSign -> sext32 raw
   | (AI64 | AF64 | ARef), _ -> raw
 
-let elem_store elem (v : int64) =
+let[@inline] elem_store elem (v : int64) =
   match elem with
-  | AI8 -> Eval.zext8 v
-  | AI16 -> Eval.zext16 v
-  | AI32 -> Eval.zext32 v
+  | AI8 -> zext8 v
+  | AI16 -> zext16 v
+  | AI32 -> zext32 v
   | AI64 | AF64 | ARef -> v
 
-let checksum_mix c v = Int64.add (Int64.mul c 0x100000001b3L) v
+let[@inline] checksum_mix c v = Int64.add (Int64.mul c 0x100000001b3L) v
 
 (* Allocation-free comparison kit for the fused superinstruction
    handlers. [sx32] sign-extends the low 32 bits of a register into a
@@ -83,7 +135,7 @@ let checksum_mix c v = Int64.add (Int64.mul c 0x100000001b3L) v
    shifted onto the native sign bit and back. Comparing two [sx32]
    images is exactly [Int64.compare (Eval.sext32 a) (Eval.sext32 b)] —
    without boxing a single intermediate. *)
-let sx32 (v : int64) : int = (Int64.to_int v lsl 31) asr 31
+let[@inline] sx32 (v : int64) : int = (Int64.to_int v lsl 31) asr 31
 
 let holds cond c =
   match cond with
@@ -128,13 +180,13 @@ let[@inline] bin_eval zx k kw lv rv =
   | 8 ->
       let amt = Int64.to_int (Int64.logand rv (if kw then 63L else 31L)) in
       if kw || not zx then Int64.shift_right_logical lv amt
-      else Int64.shift_right_logical (Eval.zext32 lv) amt
+      else Int64.shift_right_logical (zext32 lv) amt
   | 9 ->
-      if if kw then Int64.equal rv 0L else Int64.equal (Eval.low32 rv) 0L then
+      if if kw then Int64.equal rv 0L else Int64.equal (low32 rv) 0L then
         raise (Trap "division-by-zero");
       if Int64.equal rv (-1L) then Int64.neg lv else Int64.div lv rv
   | _ ->
-      if if kw then Int64.equal rv 0L else Int64.equal (Eval.low32 rv) 0L then
+      if if kw then Int64.equal rv 0L else Int64.equal (low32 rv) 0L then
         raise (Trap "division-by-zero");
       if Int64.equal rv (-1L) then 0L else Int64.rem lv rv
 
@@ -1220,16 +1272,19 @@ type state = {
   canonical : bool;
   fused : bool;
   mutable depth : int;
-  heap : cell option Vec.t;
-  mutable gvi : int64 array;  (** dense global stores, indexed by [gslot] *)
+  mutable heap : cell array;
+      (** the run's arrays; handle [h] names [heap.(h - 1)], and only the
+          first [hlen] entries are allocated *)
+  mutable hlen : int;
+  mutable gvi : Bytes.t;  (** dense global stores, one word per [gslot] *)
   mutable gvf : float array;
-  fpool_i : int64 array array;
+  fpool_i : Bytes.t array;
       (** per-depth register-frame pool: calls at the same depth never
           overlap, so each depth reuses one frame (re-zeroed on entry)
           instead of allocating per call *)
   fpool_f : float array array;
   buf : Buffer.t;
-  mutable checksum : int64;
+  checksum : Bytes.t;  (** one word, accumulated by the [checksum*] builtins *)
   mutable executed : int;  (** native ints: no box per tick *)
   mutable sext32 : int;
   mutable sext_sub : int;
@@ -1241,8 +1296,9 @@ type state = {
   mutable fcache : pfunc option array;
       (** per-run resolution cache, indexed by [fslot] id *)
   mutable ret_kind : int;  (** callee result: 0 none, 1 int, 2 float *)
-  mutable ret_i : int64;
-  mutable ret_f : float;
+  ret : Bytes.t;
+      (** one word: the int result, or the float result's bits — a
+          mutable [int64] or [float] field would be boxed *)
 }
 
 let resolve_slow st fn fid =
@@ -1267,28 +1323,30 @@ let[@inline] resolve st fn fid =
     | None -> resolve_slow st fn fid
   else resolve_slow st fn fid
 
+let heap_push st c =
+  if st.hlen = Array.length st.heap then begin
+    let nh = Array.make (2 * st.hlen) c in
+    Array.blit st.heap 0 nh 0 st.hlen;
+    st.heap <- nh
+  end;
+  st.heap.(st.hlen) <- c;
+  st.hlen <- st.hlen + 1;
+  st.hlen - 1
+
 (* Every array access funnels through here; the fast path is one range
-   test and an unchecked fetch. The slow path reproduces the original
-   checks in their original order (null first, then [Vec.get]'s own
-   bounds error for a non-handle value). *)
+   test and a fetch. The slow path raises what the structural engine's
+   heap lookup raises, in its order: null first, then [Vec.get]'s own
+   bounds error for a non-handle value. *)
 let arr_cell_slow st h i =
   if Int64.equal h 0L then raise (Trap "null-pointer")
-  else begin
-    ignore (Vec.get st.heap i);
-    raise (Trap "bad-handle")
-  end
+  else invalid_arg (Printf.sprintf "Vec: index %d out of bounds (len %d)" i st.hlen)
 
 let[@inline] arr_cell st h =
-  let hp = st.heap in
   let i = Int64.to_int h - 1 in
-  if i >= 0 && i < Vec.length hp then
-    match Vec.unsafe_get hp i with
-    | Some c -> c
-    | None -> raise (Trap "bad-handle")
-  else arr_cell_slow st h i
+  if i >= 0 && i < st.hlen then st.heap.(i) else arr_cell_slow st h i
 
 let[@inline] cell_len = function
-  | IArr { data; _ } -> Array.length data
+  | IArr { data; _ } -> nwords data
   | FArr d -> Array.length d
   | RArr d -> Array.length d
 
@@ -1307,18 +1365,23 @@ let[@inline] checked_index st idx_full len =
   then i32
   else raise (Trap "wild-access")
 
-(* Global slot arrays grow on first store to a fresh slot; a load from a
-   slot the store array hasn't reached yet is a read of a never-written
-   global, i.e. the zero default — same semantics the hash tables gave. *)
-let gstore_i st slot v =
+(* Global slot stores grow on first store to a fresh slot; a load from a
+   slot the store hasn't reached yet is a read of a never-written global,
+   i.e. the zero default — same semantics the hash tables gave. *)
+let[@inline] gload_i st slot =
   let g = st.gvi in
-  if slot < Array.length g then g.(slot) <- v
-  else begin
-    let ng = Array.make (max (slot + 1) ((2 * Array.length g) + 4)) 0L in
-    Array.blit g 0 ng 0 (Array.length g);
-    st.gvi <- ng;
-    ng.(slot) <- v
-  end
+  if slot < nwords g then g.%{slot} else 0L
+
+let gstore_i_grow st slot v =
+  let g = st.gvi in
+  let ng = words (max (slot + 1) ((2 * nwords g) + 4)) in
+  Bytes.blit g 0 ng 0 (Bytes.length g);
+  st.gvi <- ng;
+  ng.%{slot} <- v
+
+let[@inline] gstore_i st slot v =
+  let g = st.gvi in
+  if slot < nwords g then g.%{slot} <- v else gstore_i_grow st slot v
 
 let gstore_f st slot v =
   let g = st.gvf in
@@ -1334,7 +1397,7 @@ let out st s =
   Buffer.add_string st.buf s;
   Buffer.add_char st.buf '\n'
 
-let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : unit =
+let rec exec (st : state) (p : pfunc) (ri : Bytes.t) (rf : float array) : unit =
   let code = p.code and costs = p.costs in
   if Array.length code = 0 then
     (* a function with no blocks: the structural engine fails fetching
@@ -1344,10 +1407,9 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
   (* dispatch-pair histogram: off in normal runs ([pairs_nops = 0], one
      predictable branch per dispatch); when a profile with pairs enabled
      is attached, consecutive straight-line opcode ids are counted *)
-  let pairs, pairs_nops =
-    match st.profile with
-    | Some pr when Profile.pairs_enabled pr -> (pr.Profile.pairs, pr.Profile.pairs_nops)
-    | _ -> ([||], 0)
+  let pairs = match st.profile with Some pr -> pr.Profile.pairs | None -> [||] in
+  let pairs_nops =
+    match st.profile with Some pr -> pr.Profile.pairs_nops | None -> 0
   in
   let prev = ref (-1) in
   let pc = ref 0 in
@@ -1377,103 +1439,103 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
     incr pc;
     match op with
     | PNop -> ()
-    | PConstI { dst; v } -> ri.(dst) <- v
+    | PConstI { dst; v } -> ri.%{dst} <- v
     | PConstF { dst; v } -> rf.(dst) <- v
     | PMovI { dst; src; ext } ->
-        let v = ri.(src) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let v = ri.%{src} in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PMovF { dst; src } -> rf.(dst) <- rf.(src)
     | PNegI { dst; src; ext } ->
-        let v = Int64.neg ri.(src) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let v = Int64.neg ri.%{src} in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PNotI { dst; src; ext } ->
-        let v = Int64.lognot ri.(src) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let v = Int64.lognot ri.%{src} in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PAdd { dst; l; r; ext } ->
-        let v = Int64.add ri.(l) ri.(r) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let v = Int64.add ri.%{l} ri.%{r} in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PSub { dst; l; r; ext } ->
-        let v = Int64.sub ri.(l) ri.(r) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let v = Int64.sub ri.%{l} ri.%{r} in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PMul { dst; l; r; ext } ->
-        let v = Int64.mul ri.(l) ri.(r) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let v = Int64.mul ri.%{l} ri.%{r} in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PAnd { dst; l; r; ext } ->
-        let v = Int64.logand ri.(l) ri.(r) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let v = Int64.logand ri.%{l} ri.%{r} in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | POr { dst; l; r; ext } ->
-        let v = Int64.logor ri.(l) ri.(r) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let v = Int64.logor ri.%{l} ri.%{r} in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PXor { dst; l; r; ext } ->
-        let v = Int64.logxor ri.(l) ri.(r) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let v = Int64.logxor ri.%{l} ri.%{r} in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PShl { dst; l; r; w64; ext } ->
-        let amt = Int64.to_int (Int64.logand ri.(r) (if w64 then 63L else 31L)) in
-        let v = Int64.shift_left ri.(l) amt in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let amt = Int64.to_int (Int64.logand ri.%{r} (if w64 then 63L else 31L)) in
+        let v = Int64.shift_left ri.%{l} amt in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PAShr { dst; l; r; w64; ext } ->
-        let amt = Int64.to_int (Int64.logand ri.(r) (if w64 then 63L else 31L)) in
-        let v = Int64.shift_right ri.(l) amt in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let amt = Int64.to_int (Int64.logand ri.%{r} (if w64 then 63L else 31L)) in
+        let v = Int64.shift_right ri.%{l} amt in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PLShr { dst; l; r; w64; ext } ->
-        let amt = Int64.to_int (Int64.logand ri.(r) (if w64 then 63L else 31L)) in
+        let amt = Int64.to_int (Int64.logand ri.%{r} (if w64 then 63L else 31L)) in
         let lv =
           (* canonical 32-bit machine zero-extends internally; the
              faithful machine shifts the full register and depends on
              the explicit [Zext] guard ({!Eval.binop_faithful}) *)
-          if w64 || not st.canonical then ri.(l) else Eval.zext32 ri.(l)
+          if w64 || not st.canonical then ri.%{l} else zext32 ri.%{l}
         in
         let v = Int64.shift_right_logical lv amt in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PDiv { dst; l; r; w64; ext } ->
-        let rv = ri.(r) in
+        let rv = ri.%{r} in
         let zero =
-          if w64 then Int64.equal rv 0L else Int64.equal (Eval.low32 rv) 0L
+          if w64 then Int64.equal rv 0L else Int64.equal (low32 rv) 0L
         in
         if zero then raise (Trap "division-by-zero");
         let v =
-          if Int64.equal rv (-1L) then Int64.neg ri.(l) else Int64.div ri.(l) rv
+          if Int64.equal rv (-1L) then Int64.neg ri.%{l} else Int64.div ri.%{l} rv
         in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PRem { dst; l; r; w64; ext } ->
-        let rv = ri.(r) in
+        let rv = ri.%{r} in
         let zero =
-          if w64 then Int64.equal rv 0L else Int64.equal (Eval.low32 rv) 0L
+          if w64 then Int64.equal rv 0L else Int64.equal (low32 rv) 0L
         in
         if zero then raise (Trap "division-by-zero");
-        let v = if Int64.equal rv (-1L) then 0L else Int64.rem ri.(l) rv in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let v = if Int64.equal rv (-1L) then 0L else Int64.rem ri.%{l} rv in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PCmp { dst; cond; w64; l; r } ->
         let t =
-          if w64 then holds cond (Int64.compare ri.(l) ri.(r))
-          else iholds cond (sx32 ri.(l)) (sx32 ri.(r))
+          if w64 then holds cond (Int64.compare ri.%{l} ri.%{r})
+          else iholds cond (sx32 ri.%{l}) (sx32 ri.%{r})
         in
-        ri.(dst) <- (if t then 1L else 0L)
+        ri.%{dst} <- (if t then 1L else 0L)
     | PSext32 { r } ->
         st.sext32 <- st.sext32 + 1;
-        ri.(r) <- Eval.sext32 ri.(r)
+        ri.%{r} <- sext32 ri.%{r}
     | PSextSub { r; sh } ->
         st.sext_sub <- st.sext_sub + 1;
-        ri.(r) <- Int64.shift_right (Int64.shift_left ri.(r) sh) sh
+        ri.%{r} <- Int64.shift_right (Int64.shift_left ri.%{r} sh) sh
     | PZext { r; mask } ->
         if Int64.equal mask 0xFFFF_FFFFL then st.zext32 <- st.zext32 + 1
         else st.zext_sub <- st.zext_sub + 1;
-        ri.(r) <- Int64.logand ri.(r) mask
+        ri.%{r} <- Int64.logand ri.%{r} mask
     | PFAdd { dst; l; r } -> rf.(dst) <- rf.(l) +. rf.(r)
     | PFSub { dst; l; r } -> rf.(dst) <- rf.(l) -. rf.(r)
     | PFMul { dst; l; r } -> rf.(dst) <- rf.(l) *. rf.(r)
     | PFDiv { dst; l; r } -> rf.(dst) <- rf.(l) /. rf.(r)
     | PFNeg { dst; src } -> rf.(dst) <- -.rf.(src)
     | PFCmp { dst; cond; l; r } ->
-        ri.(dst) <- (if Eval.fcmp cond rf.(l) rf.(r) then 1L else 0L)
-    | PItoF { dst; src } -> rf.(dst) <- Int64.to_float ri.(src)
-    | PD2I { dst; src } -> ri.(dst) <- Eval.d2i rf.(src)
+        ri.%{dst} <- (if fcmp cond rf.(l) rf.(r) then 1L else 0L)
+    | PItoF { dst; src } -> rf.(dst) <- Int64.to_float ri.%{src}
+    | PD2I { dst; src } -> ri.%{dst} <- d2i rf.(src)
     | PD2L { dst; src; ext } ->
-        let v = Eval.d2l rf.(src) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let v = d2l rf.(src) in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PNewArr { dst; elem; len; ext } ->
-        let full = ri.(len) in
-        let len32 = Eval.sext32 full in
+        let full = ri.%{len} in
+        let len32 = sext32 full in
         (* dynamic charge (the static cost slot is 0), before the traps,
            as the structural engine charges before executing *)
         st.cycles <- st.cycles + Cost.alloc_cost ~alloc_len:len32;
@@ -1486,57 +1548,56 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           match elem with
           | AF64 -> FArr (Array.make n 0.0)
           | ARef -> RArr (Array.make n 0)
-          | e -> IArr { elem = e; data = Array.make n 0L }
+          | e -> IArr { elem = e; data = words n }
         in
-        let h = Vec.push st.heap (Some cell) in
+        let h = heap_push st cell in
         let v = Int64.of_int (h + 1) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PArrLoad ld -> (
-        let cell = arr_cell st ri.(ld.larr) in
-        let k = checked_index st ri.(ld.lidx) (cell_len cell) in
+        let cell = arr_cell st ri.%{ld.larr} in
+        let k = checked_index st ri.%{ld.lidx} (cell_len cell) in
         match cell with
         | IArr { data; _ } ->
-            let v = elem_load ld.lelem ld.llext data.(k) in
-            ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v)
+            let v = elem_load ld.lelem ld.llext data.%{k} in
+            ri.%{ld.ldst} <- (if ld.lsx then sext32 v else v)
         | FArr d -> rf.(ld.ldst) <- d.(k)
         | RArr d ->
             let v = Int64.of_int d.(k) in
-            ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v))
+            ri.%{ld.ldst} <- (if ld.lsx then sext32 v else v))
     | PArrStore s -> (
-        let cell = arr_cell st ri.(s.sarr) in
-        let k = checked_index st ri.(s.sidx) (cell_len cell) in
+        let cell = arr_cell st ri.%{s.sarr} in
+        let k = checked_index st ri.%{s.sidx} (cell_len cell) in
         match cell with
-        | IArr { data; _ } -> data.(k) <- elem_store s.selem ri.(s.ssrc)
+        | IArr { data; _ } -> data.%{k} <- elem_store s.selem ri.%{s.ssrc}
         | FArr d -> d.(k) <- rf.(s.ssrc)
-        | RArr d -> d.(k) <- Int64.to_int ri.(s.ssrc))
+        | RArr d -> d.(k) <- Int64.to_int ri.%{s.ssrc})
     | PArrLen { dst; arr } ->
-        ri.(dst) <- Int64.of_int (cell_len (arr_cell st ri.(arr)))
+        ri.%{dst} <- Int64.of_int (cell_len (arr_cell st ri.%{arr}))
     | PGLoadF { dst; slot } ->
         let g = st.gvf in
         rf.(dst) <- (if slot < Array.length g then g.(slot) else 0.0)
     | PGLoadI32 { dst; slot; sign; ext } ->
-        let g = st.gvi in
-        let cell = if slot < Array.length g then g.(slot) else 0L in
-        let v = if sign then Eval.sext32 cell else Eval.zext32 cell in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let cell = gload_i st slot in
+        let v = if sign then sext32 cell else zext32 cell in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PGLoadI { dst; slot; ext } ->
-        let g = st.gvi in
-        let v = if slot < Array.length g then g.(slot) else 0L in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        let v = gload_i st slot in
+        ri.%{dst} <- (if ext then sext32 v else v)
     | PGStoreF { slot; src } -> gstore_f st slot rf.(src)
-    | PGStoreI32 { slot; src } -> gstore_i st slot (Eval.zext32 ri.(src))
-    | PGStoreI { slot; src } -> gstore_i st slot ri.(src)
+    | PGStoreI32 { slot; src } -> gstore_i st slot (zext32 ri.%{src})
+    | PGStoreI { slot; src } -> gstore_i st slot ri.%{src}
     | PPrintI { r; post_trap } ->
-        out st (Int64.to_string ri.(r));
+        out st (Int64.to_string ri.%{r});
         if post_trap then raise (Trap "missing-return")
     | PPrintF { r; post_trap } ->
         out st (Printf.sprintf "%.6g" rf.(r));
         if post_trap then raise (Trap "missing-return")
     | PCheckI { r; post_trap } ->
-        st.checksum <- checksum_mix st.checksum ri.(r);
+        st.checksum.%{0} <- checksum_mix st.checksum.%{0} ri.%{r};
         if post_trap then raise (Trap "missing-return")
     | PCheckF { r; post_trap } ->
-        st.checksum <- checksum_mix st.checksum (Int64.bits_of_float rf.(r));
+        st.checksum.%{0} <-
+          checksum_mix st.checksum.%{0} (Int64.bits_of_float rf.(r));
         if post_trap then raise (Trap "missing-return")
     | PTrapOp { msg } -> raise (Trap msg)
     | PCallUser { dst; expect; ext; fn; fid; argv } -> (
@@ -1545,10 +1606,11 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         | 0 -> ()
         | 1 ->
             if st.ret_kind <> 1 then raise (Trap "bad-return");
-            ri.(dst) <- (if ext then Eval.sext32 st.ret_i else st.ret_i)
+            let v = st.ret.%{0} in
+            ri.%{dst} <- (if ext then sext32 v else v)
         | 2 ->
             if st.ret_kind <> 2 then raise (Trap "bad-return");
-            rf.(dst) <- st.ret_f
+            rf.(dst) <- Int64.float_of_bits st.ret.%{0}
         | _ -> raise (Trap "bad-return"))
     | PJmp { joff; jsrc; jdst } ->
         (match st.profile with
@@ -1562,9 +1624,10 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           assert false
         end
     | PBr { bcond; bw64; bl; brx; bso; bno; bsrc; bsob; bnob } ->
-        let lv = ri.(bl) and rv = ri.(brx) in
-        let lv, rv = if bw64 then (lv, rv) else (Eval.sext32 lv, Eval.sext32 rv) in
-        let taken = holds bcond (Int64.compare lv rv) in
+        let taken =
+          if bw64 then holds bcond (Int64.compare ri.%{bl} ri.%{brx})
+          else iholds bcond (sx32 ri.%{bl}) (sx32 ri.%{brx})
+        in
         let t_off = if taken then bso else bno in
         let t_bid = if taken then bsob else bnob in
         (match st.profile with
@@ -1580,11 +1643,11 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         running := false
     | PRetI { r } ->
         st.ret_kind <- 1;
-        st.ret_i <- ri.(r);
+        st.ret.%{0} <- ri.%{r};
         running := false
     | PRetF { r } ->
         st.ret_kind <- 2;
-        st.ret_f <- rf.(r);
+        st.ret.%{0} <- Int64.bits_of_float rf.(r);
         running := false
     (* Fused superinstructions. The loop head above already ticked,
        fuel-checked and charged the first constituent (the head slot
@@ -1601,18 +1664,18 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
        Straight-line groups step [pc] past the shadowed constituent
        slots; groups ending in a control transfer set it absolutely. *)
     | PConstBr { d1; v; cvi; wd1; c2; b } ->
-        if wd1 then ri.(d1) <- v;
+        if wd1 then ri.%{d1} <- v;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
         let taken =
           if b.bw64 then
-            let lv = if b.bl = d1 then v else ri.(b.bl) in
-            let rv = if b.brx = d1 then v else ri.(b.brx) in
+            let lv = if b.bl = d1 then v else ri.%{b.bl} in
+            let rv = if b.brx = d1 then v else ri.%{b.brx} in
             holds b.bcond (Int64.compare lv rv)
           else
-            let lv = if b.bl = d1 then cvi else sx32 ri.(b.bl) in
-            let rv = if b.brx = d1 then cvi else sx32 ri.(b.brx) in
+            let lv = if b.bl = d1 then cvi else sx32 ri.%{b.bl} in
+            let rv = if b.brx = d1 then cvi else sx32 ri.%{b.brx} in
             iholds b.bcond lv rv
         in
         let t_off = if taken then b.bso else b.bno in
@@ -1626,25 +1689,25 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           assert false
         end
     | PLoadBr { ld; wdst; c2; b } ->
-        let cell = arr_cell st ri.(ld.larr) in
-        let k = checked_index st ri.(ld.lidx) (cell_len cell) in
+        let cell = arr_cell st ri.%{ld.larr} in
+        let k = checked_index st ri.%{ld.lidx} (cell_len cell) in
         (* [iv]: the int-register image of the load destination after
            the load (a float load leaves it untouched) — the branch
            reads it locally, without the register round-trip *)
         let iv =
           match cell with
           | IArr { data; _ } ->
-              let v = elem_load ld.lelem ld.llext data.(k) in
-              let v = if ld.lsx then Eval.sext32 v else v in
-              if wdst then ri.(ld.ldst) <- v;
+              let v = elem_load ld.lelem ld.llext data.%{k} in
+              let v = if ld.lsx then sext32 v else v in
+              if wdst then ri.%{ld.ldst} <- v;
               v
           | FArr d ->
               if wdst then rf.(ld.ldst) <- d.(k);
-              ri.(ld.ldst)
+              ri.%{ld.ldst}
           | RArr d ->
               let v = Int64.of_int d.(k) in
-              let v = if ld.lsx then Eval.sext32 v else v in
-              if wdst then ri.(ld.ldst) <- v;
+              let v = if ld.lsx then sext32 v else v in
+              if wdst then ri.%{ld.ldst} <- v;
               v
         in
         st.executed <- st.executed + 1;
@@ -1652,12 +1715,12 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         st.cycles <- st.cycles + c2;
         let taken =
           if b.bw64 then
-            let lv = if b.bl = ld.ldst then iv else ri.(b.bl) in
-            let rv = if b.brx = ld.ldst then iv else ri.(b.brx) in
+            let lv = if b.bl = ld.ldst then iv else ri.%{b.bl} in
+            let rv = if b.brx = ld.ldst then iv else ri.%{b.brx} in
             holds b.bcond (Int64.compare lv rv)
           else
-            let lv = if b.bl = ld.ldst then sx32 iv else sx32 ri.(b.bl) in
-            let rv = if b.brx = ld.ldst then sx32 iv else sx32 ri.(b.brx) in
+            let lv = if b.bl = ld.ldst then sx32 iv else sx32 ri.%{b.bl} in
+            let rv = if b.brx = ld.ldst then sx32 iv else sx32 ri.%{b.brx} in
             iholds b.bcond lv rv
         in
         let t_off = if taken then b.bso else b.bno in
@@ -1672,8 +1735,8 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         end
     | PMovJmp { mdst; msrc; mext; mw; mc2; mj } ->
         if mw then begin
-          let v = ri.(msrc) in
-          ri.(mdst) <- (if mext then Eval.sext32 v else v)
+          let v = ri.%{msrc} in
+          ri.%{mdst} <- (if mext then sext32 v else v)
         end;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
@@ -1688,15 +1751,15 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         end
     | PMovBr { vdst; vsrc; vext; vw; vc2; vb = b } ->
         let mv =
-          let v = ri.(vsrc) in
-          if vext then Eval.sext32 v else v
+          let v = ri.%{vsrc} in
+          if vext then sext32 v else v
         in
-        if vw then ri.(vdst) <- mv;
+        if vw then ri.%{vdst} <- mv;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + vc2;
-        let lv = if b.bl = vdst then mv else ri.(b.bl) in
-        let rv = if b.brx = vdst then mv else ri.(b.brx) in
+        let lv = if b.bl = vdst then mv else ri.%{b.bl} in
+        let rv = if b.brx = vdst then mv else ri.%{b.brx} in
         let taken =
           if b.bw64 then holds b.bcond (Int64.compare lv rv)
           else iholds b.bcond (sx32 lv) (sx32 rv)
@@ -1712,12 +1775,12 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           assert false
         end
     | PStoreJmp { s; c2; j } ->
-        (let cell = arr_cell st ri.(s.sarr) in
-         let k = checked_index st ri.(s.sidx) (cell_len cell) in
+        (let cell = arr_cell st ri.%{s.sarr} in
+         let k = checked_index st ri.%{s.sidx} (cell_len cell) in
          match cell with
-         | IArr { data; _ } -> data.(k) <- elem_store s.selem ri.(s.ssrc)
+         | IArr { data; _ } -> data.%{k} <- elem_store s.selem ri.%{s.ssrc}
          | FArr d -> d.(k) <- rf.(s.ssrc)
-         | RArr d -> d.(k) <- Int64.to_int ri.(s.ssrc));
+         | RArr d -> d.(k) <- Int64.to_int ri.%{s.ssrc});
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
@@ -1731,32 +1794,32 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         end
     | PSextLoad { sr; wsr; c2; ld } ->
         st.sext32 <- st.sext32 + 1;
-        let xi = sx32 ri.(sr) in
-        if wsr then ri.(sr) <- Int64.of_int xi;
+        let xi = sx32 ri.%{sr} in
+        if wsr then ri.%{sr} <- Int64.of_int xi;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
-        let cell = arr_cell st ri.(ld.larr) in
+        let cell = arr_cell st ri.%{ld.larr} in
         if xi < 0 || xi >= cell_len cell then
           raise (Trap "array-index-out-of-bounds");
         (* the index was just re-extended: full = low32, so the
            wild-access check can never fire — index directly *)
         (match cell with
         | IArr { data; _ } ->
-            let v = elem_load ld.lelem ld.llext data.(xi) in
-            ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v)
+            let v = elem_load ld.lelem ld.llext data.%{xi} in
+            ri.%{ld.ldst} <- (if ld.lsx then sext32 v else v)
         | FArr d -> rf.(ld.ldst) <- d.(xi)
         | RArr d ->
             let v = Int64.of_int d.(xi) in
-            ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v));
+            ri.%{ld.ldst} <- (if ld.lsx then sext32 v else v));
         incr pc
     | PLoadSext { ld; c2; xr; sh } ->
-        let cell = arr_cell st ri.(ld.larr) in
-        let k = checked_index st ri.(ld.lidx) (cell_len cell) in
+        let cell = arr_cell st ri.%{ld.larr} in
+        let k = checked_index st ri.%{ld.lidx} (cell_len cell) in
         (match cell with
         | IArr { data; _ } ->
-            let v = elem_load ld.lelem ld.llext data.(k) in
-            let v = if ld.lsx then Eval.sext32 v else v in
+            let v = elem_load ld.lelem ld.llext data.%{k} in
+            let v = if ld.lsx then sext32 v else v in
             st.executed <- st.executed + 1;
             if st.executed > fuel then raise (Trap "fuel-exhausted");
             st.cycles <- st.cycles + c2;
@@ -1764,11 +1827,11 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
                re-extension before any observation point — write once *)
             if sh < 0 then begin
               st.sext32 <- st.sext32 + 1;
-              ri.(xr) <- Int64.of_int (sx32 v)
+              ri.%{xr} <- Int64.of_int (sx32 v)
             end
             else begin
               st.sext_sub <- st.sext_sub + 1;
-              ri.(xr) <- Int64.shift_right (Int64.shift_left v sh) sh
+              ri.%{xr} <- Int64.shift_right (Int64.shift_left v sh) sh
             end
         | FArr d ->
             rf.(ld.ldst) <- d.(k);
@@ -1779,97 +1842,96 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
                register, exactly as the unfused sequence does *)
             if sh < 0 then begin
               st.sext32 <- st.sext32 + 1;
-              ri.(xr) <- Eval.sext32 ri.(xr)
+              ri.%{xr} <- sext32 ri.%{xr}
             end
             else begin
               st.sext_sub <- st.sext_sub + 1;
-              ri.(xr) <- Int64.shift_right (Int64.shift_left ri.(xr) sh) sh
+              ri.%{xr} <- Int64.shift_right (Int64.shift_left ri.%{xr} sh) sh
             end
         | RArr d ->
             let v = Int64.of_int d.(k) in
-            let v = if ld.lsx then Eval.sext32 v else v in
+            let v = if ld.lsx then sext32 v else v in
             st.executed <- st.executed + 1;
             if st.executed > fuel then raise (Trap "fuel-exhausted");
             st.cycles <- st.cycles + c2;
             if sh < 0 then begin
               st.sext32 <- st.sext32 + 1;
-              ri.(xr) <- Int64.of_int (sx32 v)
+              ri.%{xr} <- Int64.of_int (sx32 v)
             end
             else begin
               st.sext_sub <- st.sext_sub + 1;
-              ri.(xr) <- Int64.shift_right (Int64.shift_left v sh) sh
+              ri.%{xr} <- Int64.shift_right (Int64.shift_left v sh) sh
             end);
         incr pc
     | PConstBin { d1; v; wd1; k; kw; dst; l; r; ext; c2 } ->
-        if wd1 then ri.(d1) <- v;
+        if wd1 then ri.%{d1} <- v;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
-        let lv = if l = d1 then v else ri.(l) in
-        let rv = if r = d1 then v else ri.(r) in
+        let lv = if l = d1 then v else ri.%{l} in
+        let rv = if r = d1 then v else ri.%{r} in
         let v2 =
           bin_eval st.canonical k kw lv rv
         in
-        ri.(dst) <- (if ext then Eval.sext32 v2 else v2);
+        ri.%{dst} <- (if ext then sext32 v2 else v2);
         incr pc
     (* Adjacent-array-access pairs: no data-dependency conditions, so
        both constituents execute verbatim — only the dispatch between
        them is saved. *)
     | PLoadLoad { l1; c2; l2 } ->
-        (let cell = arr_cell st ri.(l1.larr) in
-         let k = checked_index st ri.(l1.lidx) (cell_len cell) in
+        (let cell = arr_cell st ri.%{l1.larr} in
+         let k = checked_index st ri.%{l1.lidx} (cell_len cell) in
          match cell with
          | IArr { data; _ } ->
-             let v = elem_load l1.lelem l1.llext data.(k) in
-             ri.(l1.ldst) <- (if l1.lsx then Eval.sext32 v else v)
+             let v = elem_load l1.lelem l1.llext data.%{k} in
+             ri.%{l1.ldst} <- (if l1.lsx then sext32 v else v)
          | FArr d -> rf.(l1.ldst) <- d.(k)
          | RArr d ->
              let v = Int64.of_int d.(k) in
-             ri.(l1.ldst) <- (if l1.lsx then Eval.sext32 v else v));
+             ri.%{l1.ldst} <- (if l1.lsx then sext32 v else v));
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
-        (let cell = arr_cell st ri.(l2.larr) in
-         let k = checked_index st ri.(l2.lidx) (cell_len cell) in
+        (let cell = arr_cell st ri.%{l2.larr} in
+         let k = checked_index st ri.%{l2.lidx} (cell_len cell) in
          match cell with
          | IArr { data; _ } ->
-             let v = elem_load l2.lelem l2.llext data.(k) in
-             ri.(l2.ldst) <- (if l2.lsx then Eval.sext32 v else v)
+             let v = elem_load l2.lelem l2.llext data.%{k} in
+             ri.%{l2.ldst} <- (if l2.lsx then sext32 v else v)
          | FArr d -> rf.(l2.ldst) <- d.(k)
          | RArr d ->
              let v = Int64.of_int d.(k) in
-             ri.(l2.ldst) <- (if l2.lsx then Eval.sext32 v else v));
+             ri.%{l2.ldst} <- (if l2.lsx then sext32 v else v));
         incr pc
     | PLoadStore { ld; c2; s } ->
-        (let cell = arr_cell st ri.(ld.larr) in
-         let k = checked_index st ri.(ld.lidx) (cell_len cell) in
+        (let cell = arr_cell st ri.%{ld.larr} in
+         let k = checked_index st ri.%{ld.lidx} (cell_len cell) in
          match cell with
          | IArr { data; _ } ->
-             let v = elem_load ld.lelem ld.llext data.(k) in
-             ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v)
+             let v = elem_load ld.lelem ld.llext data.%{k} in
+             ri.%{ld.ldst} <- (if ld.lsx then sext32 v else v)
          | FArr d -> rf.(ld.ldst) <- d.(k)
          | RArr d ->
              let v = Int64.of_int d.(k) in
-             ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v));
+             ri.%{ld.ldst} <- (if ld.lsx then sext32 v else v));
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
-        (let cell = arr_cell st ri.(s.sarr) in
-         let k = checked_index st ri.(s.sidx) (cell_len cell) in
+        (let cell = arr_cell st ri.%{s.sarr} in
+         let k = checked_index st ri.%{s.sidx} (cell_len cell) in
          match cell with
-         | IArr { data; _ } -> data.(k) <- elem_store s.selem ri.(s.ssrc)
+         | IArr { data; _ } -> data.%{k} <- elem_store s.selem ri.%{s.ssrc}
          | FArr d -> d.(k) <- rf.(s.ssrc)
-         | RArr d -> d.(k) <- Int64.to_int ri.(s.ssrc));
+         | RArr d -> d.(k) <- Int64.to_int ri.%{s.ssrc});
         incr pc
     | PGStoreGLoad { sslot; src; c2; ldst; lslot; lsign; lext; wl } ->
-        gstore_i st sslot (Eval.zext32 ri.(src));
+        gstore_i st sslot (zext32 ri.%{src});
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
-        let g = st.gvi in
-        let cell = if lslot < Array.length g then g.(lslot) else 0L in
-        let v = if lsign then Eval.sext32 cell else Eval.zext32 cell in
-        if wl then ri.(ldst) <- (if lext then Eval.sext32 v else v);
+        let cell = gload_i st lslot in
+        let v = if lsign then sext32 cell else zext32 cell in
+        if wl then ri.%{ldst} <- (if lext then sext32 v else v);
         incr pc
     (* Chained superinstructions. Constituents run in program order with
        the accounting steps above between them; a value produced earlier
@@ -1877,53 +1939,53 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
        so the [w*] flags, computed against liveness at the end of the
        group, skip intermediate register writes. *)
     | PBinBin { a; hb; b2; s2l; s2r; xw1; xw2 } ->
-        if a.wd1 then ri.(a.d1) <- a.v;
+        if a.wd1 then ri.%{a.d1} <- a.v;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
+        let lv = if a.l = a.d1 then a.v else ri.%{a.l} in
+        let rv = if a.r = a.d1 then a.v else ri.%{a.r} in
         let av =
           bin_eval st.canonical a.k a.kw lv rv
         in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw1 then ri.(a.dst) <- v1;
+        let v1 = if a.ext then sext32 av else av in
+        if xw1 then ri.%{a.dst} <- v1;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + hb;
-        if b2.wd1 then ri.(b2.d1) <- b2.v;
+        if b2.wd1 then ri.%{b2.d1} <- b2.v;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + b2.c2;
         let lv =
-          match s2l with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.l)
+          match s2l with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.%{b2.l}
         in
         let rv =
-          match s2r with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.r)
+          match s2r with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.%{b2.r}
         in
         let bv =
           bin_eval st.canonical b2.k b2.kw lv rv
         in
-        if xw2 then ri.(b2.dst) <- (if b2.ext then Eval.sext32 bv else bv);
+        if xw2 then ri.%{b2.dst} <- (if b2.ext then sext32 bv else bv);
         pc := !pc + 3
     | PBinMovJmp { a; xw; hm; smv; m } ->
-        if a.wd1 then ri.(a.d1) <- a.v;
+        if a.wd1 then ri.%{a.d1} <- a.v;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
+        let lv = if a.l = a.d1 then a.v else ri.%{a.l} in
+        let rv = if a.r = a.d1 then a.v else ri.%{a.r} in
         let av =
           bin_eval st.canonical a.k a.kw lv rv
         in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw then ri.(a.dst) <- v1;
+        let v1 = if a.ext then sext32 av else av in
+        if xw then ri.%{a.dst} <- v1;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + hm;
         if m.mw then begin
-          let v = match smv with 1 -> v1 | 3 -> a.v | _ -> ri.(m.msrc) in
-          ri.(m.mdst) <- (if m.mext then Eval.sext32 v else v)
+          let v = match smv with 1 -> v1 | 3 -> a.v | _ -> ri.%{m.msrc} in
+          ri.%{m.mdst} <- (if m.mext then sext32 v else v)
         end;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
@@ -1937,43 +1999,43 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           assert false
         end
     | PBinSext { a; cs; xw } ->
-        if a.wd1 then ri.(a.d1) <- a.v;
+        if a.wd1 then ri.%{a.d1} <- a.v;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
+        let lv = if a.l = a.d1 then a.v else ri.%{a.l} in
+        let rv = if a.r = a.d1 then a.v else ri.%{a.r} in
         let av = bin_eval st.canonical a.k a.kw lv rv in
-        let v1 = if a.ext then Eval.sext32 av else av in
+        let v1 = if a.ext then sext32 av else av in
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + cs;
         st.sext32 <- st.sext32 + 1;
-        if xw then ri.(a.dst) <- Int64.of_int (sx32 v1);
+        if xw then ri.%{a.dst} <- Int64.of_int (sx32 v1);
         pc := !pc + 2
     | PBinSextMovJmp { a; cs; xw; hm; smv; m } ->
-        if a.wd1 then ri.(a.d1) <- a.v;
+        if a.wd1 then ri.%{a.d1} <- a.v;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
+        let lv = if a.l = a.d1 then a.v else ri.%{a.l} in
+        let rv = if a.r = a.d1 then a.v else ri.%{a.r} in
         let av = bin_eval st.canonical a.k a.kw lv rv in
-        let v1 = if a.ext then Eval.sext32 av else av in
+        let v1 = if a.ext then sext32 av else av in
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + cs;
         st.sext32 <- st.sext32 + 1;
         let xi = sx32 v1 in
-        if xw then ri.(a.dst) <- Int64.of_int xi;
+        if xw then ri.%{a.dst} <- Int64.of_int xi;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + hm;
         if m.mw then begin
           let v =
-            match smv with 1 -> Int64.of_int xi | 3 -> a.v | _ -> ri.(m.msrc)
+            match smv with 1 -> Int64.of_int xi | 3 -> a.v | _ -> ri.%{m.msrc}
           in
-          ri.(m.mdst) <- (if m.mext then Eval.sext32 v else v)
+          ri.%{m.mdst} <- (if m.mext then sext32 v else v)
         end;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
@@ -1998,31 +2060,30 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           sar;
           bb = { a; hb = hb2; b2; s2l; s2r; xw1; xw2 };
         } ->
-        let g = st.gvi in
-        let cell = if gslot < Array.length g then g.(gslot) else 0L in
-        let v = if gsign then Eval.sext32 cell else Eval.zext32 cell in
-        let gv = if gext then Eval.sext32 v else v in
-        if wg then ri.(gdst) <- gv;
+        let cell = gload_i st gslot in
+        let v = if gsign then sext32 cell else zext32 cell in
+        let gv = if gext then sext32 v else v in
+        if wg then ri.%{gdst} <- gv;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + hb;
-        if a.wd1 then ri.(a.d1) <- a.v;
+        if a.wd1 then ri.%{a.d1} <- a.v;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + a.c2;
         let lv =
-          if a.l = a.d1 then a.v else if sal = 6 then gv else ri.(a.l)
+          if a.l = a.d1 then a.v else if sal = 6 then gv else ri.%{a.l}
         in
         let rv =
-          if a.r = a.d1 then a.v else if sar = 6 then gv else ri.(a.r)
+          if a.r = a.d1 then a.v else if sar = 6 then gv else ri.%{a.r}
         in
         let av = bin_eval st.canonical a.k a.kw lv rv in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw1 then ri.(a.dst) <- v1;
+        let v1 = if a.ext then sext32 av else av in
+        if xw1 then ri.%{a.dst} <- v1;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + hb2;
-        if b2.wd1 then ri.(b2.d1) <- b2.v;
+        if b2.wd1 then ri.%{b2.d1} <- b2.v;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + b2.c2;
@@ -2032,7 +2093,7 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           | 3 -> a.v
           | 4 -> b2.v
           | 6 -> gv
-          | _ -> ri.(b2.l)
+          | _ -> ri.%{b2.l}
         in
         let rv =
           match s2r with
@@ -2040,10 +2101,10 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           | 3 -> a.v
           | 4 -> b2.v
           | 6 -> gv
-          | _ -> ri.(b2.r)
+          | _ -> ri.%{b2.r}
         in
         let bv = bin_eval st.canonical b2.k b2.kw lv rv in
-        if xw2 then ri.(b2.dst) <- (if b2.ext then Eval.sext32 bv else bv);
+        if xw2 then ri.%{b2.dst} <- (if b2.ext then sext32 bv else bv);
         pc := !pc + 4
   done
 
@@ -2052,7 +2113,7 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
     kind-mismatched argument traps ["bad-call-arity"]. Parameter binding
     writes the raw caller value — the canonical machine does not re-extend
     at binding time (the structural engine's [List.iteri] does not either). *)
-and call_fn st fn fid (caller_ri : int64 array) (caller_rf : float array)
+and call_fn st fn fid (caller_ri : Bytes.t) (caller_rf : float array)
     (argv : int array) : unit =
   st.depth <- st.depth + 1;
   if st.depth > max_depth then raise (Trap "stack-overflow");
@@ -2061,12 +2122,12 @@ and call_fn st fn fid (caller_ri : int64 array) (caller_rf : float array)
   let d = st.depth in
   let ri =
     let cur = st.fpool_i.(d) in
-    if Array.length cur >= n then begin
-      Array.fill cur 0 n 0L;
+    if nwords cur >= n then begin
+      Bytes.fill cur 0 (n lsl 3) '\000';
       cur
     end
     else begin
-      let a = Array.make n 0L in
+      let a = words n in
       st.fpool_i.(d) <- a;
       a
     end
@@ -2091,7 +2152,7 @@ and call_fn st fn fid (caller_ri : int64 array) (caller_rf : float array)
     let a = argv.(k) in
     if pk land 1 <> a land 1 then raise (Trap "bad-call-arity");
     if pk land 1 = 1 then rf.(pk lsr 1) <- caller_rf.(a lsr 1)
-    else ri.(pk lsr 1) <- caller_ri.(a lsr 1)
+    else ri.%{pk lsr 1} <- caller_ri.%{a lsr 1}
   done;
   exec st p ri rf;
   st.depth <- st.depth - 1
@@ -2112,13 +2173,14 @@ let run ?(mode = `Faithful) ?(fuel = 2_000_000_000L) ?(count_cycles = true)
       canonical = mode = `Canonical;
       fused;
       depth = 0;
-      heap = Vec.create ~dummy:None ();
-      gvi = Array.make (gslot_count ()) 0L;
+      heap = Array.make 8 (RArr [||]);
+      hlen = 0;
+      gvi = words (gslot_count ());
       gvf = Array.make (gslot_count ()) 0.0;
-      fpool_i = Array.make (max_depth + 1) [||];
+      fpool_i = Array.make (max_depth + 1) Bytes.empty;
       fpool_f = Array.make (max_depth + 1) [||];
       buf = Buffer.create 256;
-      checksum = 0L;
+      checksum = words 1;
       executed = 0;
       sext32 = 0;
       sext_sub = 0;
@@ -2129,12 +2191,11 @@ let run ?(mode = `Faithful) ?(fuel = 2_000_000_000L) ?(count_cycles = true)
       profile;
       fcache = Array.make (fslot_count ()) None;
       ret_kind = 0;
-      ret_i = 0L;
-      ret_f = 0.0;
+      ret = words 1;
     }
   in
   let trap =
-    match call_fn st prog.Prog.main (fslot prog.Prog.main) [||] [||] [||] with
+    match call_fn st prog.Prog.main (fslot prog.Prog.main) Bytes.empty [||] [||] with
     | () -> None
     | exception Trap t -> Some t
   in
@@ -2142,13 +2203,12 @@ let run ?(mode = `Faithful) ?(fuel = 2_000_000_000L) ?(count_cycles = true)
     if trap <> None then None
     else
       match st.ret_kind with
-      | 1 -> Some st.ret_i
-      | 2 -> Some (Int64.bits_of_float st.ret_f)
+      | 1 | 2 -> Some st.ret.%{0}
       | _ -> None
   in
   {
     output = Buffer.contents st.buf;
-    checksum = st.checksum;
+    checksum = st.checksum.%{0};
     trap;
     ret;
     executed = Int64.of_int st.executed;

@@ -15,9 +15,26 @@
 
 exception Trap of string
 
-(** Heap cells, shared with the structural engine. *)
+(** {1 Word stores}
+
+    The engine keeps its 64-bit integer state — register files, global
+    slots, integer-array data — in [Bytes.t], one native-endian word per
+    element at byte offset [i lsl 3], so a write stores an unboxed value
+    instead of allocating a box (see [docs/VM.md], "Value
+    representation"). Accesses are bounds-checked. *)
+
+val words : int -> Bytes.t
+(** [words n]: [n] zeroed words. *)
+
+val nwords : Bytes.t -> int
+val ( .%{} ) : Bytes.t -> int -> int64
+val ( .%{}<- ) : Bytes.t -> int -> int64 -> unit
+
+(** Heap cells, shared with the structural engine. [IArr] data is a
+    word store holding each element as its stored (already narrowed)
+    64-bit image. *)
 type cell =
-  | IArr of { elem : Sxe_ir.Types.aelem; data : int64 array }
+  | IArr of { elem : Sxe_ir.Types.aelem; data : Bytes.t }
   | FArr of float array
   | RArr of int array
 
@@ -39,8 +56,31 @@ val max_depth : int
 
 val builtin_names : string list
 
+(** {1 Extension kernels}
+
+    Copies of {!Sxe_ir.Eval}'s extension and float-conversion kernels
+    that inline into the dispatch loop: under [-opaque] a call into
+    another module is never inlined, and an [int64] or [float] crosses
+    it boxed. [Eval] stays the written
+    semantics; tier-1 checks each kernel against it. *)
+
+val low32 : int64 -> int64
+val sext32 : int64 -> int64
+val zext32 : int64 -> int64
+val sext16 : int64 -> int64
+val zext16 : int64 -> int64
+val sext8 : int64 -> int64
+val zext8 : int64 -> int64
+val fcmp : Sxe_ir.Types.cond -> float -> float -> bool
+val d2i : float -> int64
+val d2l : float -> int64
+
 val elem_load : Sxe_ir.Types.aelem -> Sxe_ir.Types.lext -> int64 -> int64
+(** The register image of a raw element under the load's extension. *)
+
 val elem_store : Sxe_ir.Types.aelem -> int64 -> int64
+(** The stored image of a register value: narrowed to the element width. *)
+
 val checksum_mix : int64 -> int64 -> int64
 
 type pfunc

@@ -45,3 +45,27 @@ let dyn_of results vname =
   match List.find_opt (fun (n, _, _) -> n = vname) results with
   | Some (_, d, _) -> d
   | None -> Alcotest.failf "no variant %S" vname
+
+(** Equality on every [Interp.outcome] field, counters included. *)
+let outcome : Sxe_vm.Interp.outcome Alcotest.testable =
+  let open Sxe_vm.Interp in
+  let pp ppf (o : outcome) =
+    Format.fprintf ppf
+      "{trap=%s; ret=%s; checksum=%Ld; output=%S; executed=%Ld; sext32=%Ld; \
+       sext_sub=%Ld; zext32=%Ld; zext_sub=%Ld; cycles=%Ld}"
+      (Option.value ~default:"none" o.trap)
+      (match o.ret with None -> "none" | Some v -> Int64.to_string v)
+      o.checksum o.output o.executed o.sext32 o.sext_sub o.zext32 o.zext_sub
+      o.cycles
+  in
+  Alcotest.testable pp ( = )
+
+(** All three engines — structural, unfused precode, fused precode — on
+    the same program; every outcome field must agree. *)
+let check3 ?fuel ?mode msg (p : Prog.t) =
+  let st = Sxe_vm.Interp.run ?fuel ?mode ~engine:`Structural p in
+  let pre = Sxe_vm.Interp.run ?fuel ?mode ~engine:`Precode ~fused:false p in
+  let fused = Sxe_vm.Interp.run ?fuel ?mode ~engine:`Precode ~fused:true p in
+  Alcotest.check outcome (msg ^ ": structural vs precode") st pre;
+  Alcotest.check outcome (msg ^ ": precode vs fused") pre fused;
+  fused

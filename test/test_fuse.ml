@@ -10,40 +10,17 @@ open Sxe_ir
 open Sxe_ir.Types
 module B = Builder
 
-let outcome : Sxe_vm.Interp.outcome Alcotest.testable =
-  let open Sxe_vm.Interp in
-  let pp ppf (o : outcome) =
-    Format.fprintf ppf
-      "{trap=%s; ret=%s; checksum=%Ld; output=%S; executed=%Ld; sext32=%Ld; \
-       sext_sub=%Ld; zext32=%Ld; zext_sub=%Ld; cycles=%Ld}"
-      (Option.value ~default:"none" o.trap)
-      (match o.ret with None -> "none" | Some v -> Int64.to_string v)
-      o.checksum o.output o.executed o.sext32 o.sext_sub o.zext32 o.zext_sub
-      o.cycles
-  in
-  Alcotest.testable pp ( = )
-
-(** All three engines — structural, unfused precode, fused precode — on
-    the same program; every outcome field must agree. *)
-let check3 ?fuel msg (p : Prog.t) =
-  let st = Sxe_vm.Interp.run ?fuel ~engine:`Structural p in
-  let pre = Sxe_vm.Interp.run ?fuel ~engine:`Precode ~fused:false p in
-  let fused = Sxe_vm.Interp.run ?fuel ~engine:`Precode ~fused:true p in
-  Alcotest.check outcome (msg ^ ": structural vs precode") st pre;
-  Alcotest.check outcome (msg ^ ": precode vs fused") pre fused;
-  fused
-
 (** Sweep the fuel budget across every instruction boundary of [p]:
     each constituent of a superinstruction ticks and traps exactly where
     its plain counterpart would, so all three engines must agree on the
     truncated counters for every cutoff — including cutoffs that land in
     the middle of a fused group. Returns the unbounded outcome. *)
 let fuel_sweep msg (p : Prog.t) =
-  let full = check3 (msg ^ " unbounded") p in
+  let full = Helpers.check3 (msg ^ " unbounded") p in
   let total = Int64.to_int full.Sxe_vm.Interp.executed in
   Alcotest.(check bool) (msg ^ ": runs long enough to sweep") true (total > 20);
   for fuel = 1 to total + 1 do
-    let out = check3 ~fuel:(Int64.of_int fuel) (Printf.sprintf "%s fuel=%d" msg fuel) p in
+    let out = Helpers.check3 ~fuel:(Int64.of_int fuel) (Printf.sprintf "%s fuel=%d" msg fuel) p in
     Alcotest.(check (option string))
       (Printf.sprintf "%s fuel=%d trap" msg fuel)
       (if fuel < total then Some "fuel-exhausted" else None)
@@ -128,7 +105,7 @@ let test_branch_target_barrier () =
      the head either way) — the counting loop's body block does exactly
      that, so also assert fusion actually happened there. *)
   let p = counting_loop () in
-  ignore (check3 "counting loop" p);
+  ignore (Helpers.check3 "counting loop" p);
   let img = Sxe_vm.Precode.get_decoded ~canonical:false (main_func p) in
   Alcotest.(check bool) "loop fused at all" true (Sxe_vm.Precode.fused_total img > 0);
   Alcotest.(check (list string)) "no shadowed block start (hand-built loop)" []
@@ -316,7 +293,7 @@ let test_cache_keyed_by_selection () =
     f;
   let fused3 = Sxe_vm.Precode.get_decoded ~canonical:false f in
   Alcotest.(check bool) "mutation drops the cached image" true (not (fused3 == fused1));
-  ignore (check3 "after mutation" p)
+  ignore (Helpers.check3 "after mutation" p)
 
 let suite =
   [
